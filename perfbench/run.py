@@ -4,20 +4,26 @@ Usage:
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the root of a source checkout. Each round runs the workload's four
-steps in order, each command in its own `python3 -m freqmine.cli` process:
-`recode`, `mine --algorithm apriori`, `mine --algorithm fpgrowth`, and
-`rules --support-csv` on the Apriori itemset CSV. Short steps run several
-times per round (REPEATS). Rounds repeat until S seconds have passed; at
-least one round runs. Every command is one operation, and one that exits
-non-zero has failed.
+steps in order: `recode`, `mine --algorithm apriori`, `mine --algorithm
+fpgrowth`, and `rules --support-csv` on the Apriori itemset CSV. Each
+command runs in its own `python3 -m freqmine.cli` process, started by
+launch.py. Short steps run several times per round (REPEATS). Rounds
+repeat until S seconds have passed; at least one round runs. Every command
+is one operation, and one that exits non-zero has failed.
+
+This process, the launcher, the commands and gauge.py all run on one CPU.
+The gauge runs beside every command and tells how fast that CPU ran while
+the command ran. Every time the benchmark reports is CPU time so scaled:
+CPU seconds times GAUGE_SLICE_S over the gauge's CPU seconds per slice in
+the same interval.
 
 With --trace 0 the last line of stdout is a JSON object with the
 end-to-end metrics: set-up time (the median of SETUP_REPEATS generations
-of the inputs) and each step's wall time and peak RSS, medians over all of
-the step's runs. With --trace 1 every command runs under trace_cli.py, and
-the object holds the per-layer metrics instead. In both modes the outputs
-of the last round are checked by checks.py, and outputs must not change
-between rounds.
+of the inputs) and each step's time and peak RSS, medians over all of the
+step's runs. With --trace 1 every command runs under trace_cli.py, and the
+object holds the per-layer metrics instead. In both modes the outputs
+of the last round are checked by checks.py, and every run of a step must
+write the same output as the step's first run.
 """
 
 from __future__ import annotations
@@ -40,8 +46,13 @@ import gen
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_CLI = Path(__file__).resolve().parent / "trace_cli.py"
+LAUNCH = Path(__file__).resolve().parent / "launch.py"
 WORK_ROOT = ROOT / ".perfbench_work"
 SETUP_REPEATS = 3
+# Times are reported as they would read on a CPU where one gauge slice
+# takes this many CPU seconds. The shared machine's CPU speed changes by up
+# to a factor of two within seconds, and a command's CPU time with it.
+GAUGE_SLICE_S = 0.0002
 
 WORKLOADS = {
     # Criterion 6's dense shape at 300, not 200: deep itemsets load Apriori's
@@ -69,10 +80,11 @@ OUTPUTS = ("recoded.csv", "freq_apriori.csv", "freq_fpgrowth.csv", "rules.csv")
 # Runs of each step per round, in STEPS order. A step that takes under about
 # two seconds runs several times, so that its median is not one sample taken
 # during a burst of load from elsewhere on the machine.
-REPEATS = {"dense": (8, 1, 1, 1), "sparse_wide": (8, 1, 1, 2), "survey": (1, 1, 1, 8)}
+REPEATS = {"dense": (4, 1, 1, 1), "sparse_wide": (4, 1, 1, 2), "survey": (1, 1, 1, 8)}
 
-# Per-layer metrics in report order. A span is the wall time inside calls to
-# the function, nested spans included, summed over the round's commands.
+# Per-layer metrics in report order. A span is the CPU time inside calls to
+# the function, nested spans included, scaled like every other time and
+# summed over the round's commands.
 SPANS = (
     "dataset.parse_survey", "dataset.serialize", "dataset.parse_transactions",
     "dataset.item_frequencies", "apriori.mine", "apriori.join", "apriori.prune",
@@ -101,7 +113,7 @@ LAYER_UNITS = {
     **COUNTS,
     **{name: "ratio" for name in YIELDS},
     "cli.self_s": "s",
-    **{f"cli.{step}_wall_s": "s" for step in STEPS},
+    **{f"cli.{step}_traced_s": "s" for step in STEPS},
 }
 
 
@@ -110,9 +122,14 @@ class Step:
     """One command's outcome as its parent process saw it."""
 
     ok: bool
-    wall_s: float
+    cpu_s: float
     peak_bytes: int
+    scale: float  # gauge_scale while the command ran
     trace: dict | None
+
+    @property
+    def time_s(self) -> float:
+        return self.cpu_s * self.scale
 
 
 def commands(spec, inputs: gen.Inputs, work: Path) -> list[list[str]]:
@@ -133,36 +150,55 @@ def commands(spec, inputs: gen.Inputs, work: Path) -> list[list[str]]:
     return [recode, *mine, rule]
 
 
-def run_step(argv: list[str], work: Path, name: str, traced: bool) -> Step:
-    """Run one command in a child process; its rusage gives its own peak RSS."""
+def start_launcher() -> subprocess.Popen:
+    """The process that starts every command; closing it waits for it to end."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    return subprocess.Popen(
+        [sys.executable, str(LAUNCH)], cwd=ROOT, env=env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+
+
+def gauge_scale(slices: int, gauge_cpu_ns: int) -> float:
+    """GAUGE_SLICE_S over the gauge's CPU seconds per slice."""
+    return GAUGE_SLICE_S * slices / (gauge_cpu_ns / 1e9)
+
+
+def gauge_reading(launcher: subprocess.Popen) -> list[int]:
+    """The gauge's slices and CPU ns so far."""
+    launcher.stdin.write("null\n")
+    launcher.stdin.flush()
+    return json.loads(launcher.stdout.readline())
+
+
+def run_step(
+    launcher: subprocess.Popen, argv: list[str], work: Path, name: str, traced: bool
+) -> Step:
+    """Run one command through the launcher; its rusage is that process's own."""
     trace_path = work / f"{name}.trace.json"
     if traced:
         program = [sys.executable, str(TRACE_CLI), str(trace_path)]
     else:
         program = [sys.executable, "-m", "freqmine.cli"]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
-    with open(work / f"{name}.stderr", "wb") as errors:
-        started = time.perf_counter_ns()
-        child = subprocess.Popen(
-            [*program, *argv], cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=errors
-        )
-        _, status, usage = os.wait4(child.pid, 0)
-        wall_ns = time.perf_counter_ns() - started
-    child.returncode = os.waitstatus_to_exitcode(status)
-    ok = child.returncode == 0
+    stderr_path = work / f"{name}.stderr"
+    launcher.stdin.write(json.dumps([[*program, *argv], str(stderr_path)]) + "\n")
+    launcher.stdin.flush()
+    code, cpu_ns, peak_bytes, slices, gauge_cpu_ns = json.loads(launcher.stdout.readline())
+    ok = code == 0
     if not ok:
-        sys.stderr.write(f"{name} exited {child.returncode}: {argv}\n")
-        sys.stderr.write((work / f"{name}.stderr").read_text(errors="replace")[-2000:])
+        sys.stderr.write(f"{name} exited {code}: {argv}\n")
+        sys.stderr.write(stderr_path.read_text(errors="replace")[-2000:])
     trace = json.loads(trace_path.read_text()) if traced and ok else None
-    return Step(ok, wall_ns / 1e9, usage.ru_maxrss * 1024, trace)
+    return Step(ok, cpu_ns / 1e9, peak_bytes, gauge_scale(slices, gauge_cpu_ns), trace)
 
 
 def step_figures(step: Step) -> dict[str, float]:
     """Span seconds, counts and uncovered time of one traced command."""
     trace = step.trace or {"spans_ns": {}, "counts": {}, "covered_ns": 0, "hook_ns": 0}
-    figures = {f"{name}_s": ns / 1e9 for name, ns in trace["spans_ns"].items()}
+    figures = {f"{name}_s": ns / 1e9 * step.scale for name, ns in trace["spans_ns"].items()}
     figures.update(trace["counts"])
-    figures["cli.self_s"] = step.wall_s - (trace["covered_ns"] + trace["hook_ns"]) / 1e9
+    uncovered_s = step.cpu_s - (trace["covered_ns"] + trace["hook_ns"]) / 1e9
+    figures["cli.self_s"] = uncovered_s * step.scale
     return figures
 
 
@@ -176,7 +212,7 @@ def layer_metrics(round_steps: list[list[Step]]) -> dict[str, float]:
             value = pick(figures.get(key, 0) for figures in per_run)
             combine = max if key in SIZES else (lambda a, b: a + b)
             totals[key] = combine(totals.get(key, 0), value)
-        totals[f"cli.{name}_wall_s"] = statistics.median(step.wall_s for step in runs)
+        totals[f"cli.{name}_traced_s"] = statistics.median(step.time_s for step in runs)
     for name, (top, bottom) in YIELDS.items():
         totals[name] = totals.get(top, 0) / totals[bottom] if totals.get(bottom) else 0.0
     return {name: totals.get(name, 0) for name in LAYER_UNITS}
@@ -199,12 +235,8 @@ def check_outputs(spec, inputs: gen.Inputs, work: Path, seed: int) -> list[str]:
     return problems
 
 
-def digest(work: Path) -> list[str]:
-    return [
-        hashlib.sha256((work / name).read_bytes()).hexdigest()
-        if (work / name).exists() else ""
-        for name in OUTPUTS
-    ]
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else ""
 
 
 def main() -> int:
@@ -219,34 +251,45 @@ def main() -> int:
         return 2
 
     spec = WORKLOADS[args.workload]
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     work = WORK_ROOT / f"{args.workload}-{args.seed}-{os.getpid()}"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     try:
-        setup_times = []
-        for _ in range(SETUP_REPEATS):
-            started = time.perf_counter()
-            inputs = spec.generate(args.seed, work)
-            setup_times.append(time.perf_counter() - started)
+        # The launcher starts before this process holds any input; see launch.py.
+        with start_launcher() as launcher:
+            setup_times = []
+            for _ in range(SETUP_REPEATS):
+                before = gauge_reading(launcher)
+                started = time.process_time()
+                inputs = spec.generate(args.seed, work)
+                cpu_s = time.process_time() - started
+                after = gauge_reading(launcher)
+                setup_times.append(cpu_s * gauge_scale(after[0] - before[0], after[1] - before[1]))
 
-        argvs = commands(spec, inputs, work)
-        rounds: list[list[list[Step]]] = []
-        problems: list[str] = []
-        first_digest = None
-        deadline = time.perf_counter() + args.seconds
-        while True:
-            rounds.append(
-                [
-                    [run_step(argv, work, name, args.trace == 1) for _ in range(repeat)]
-                    for name, argv, repeat in zip(STEPS, argvs, REPEATS[args.workload])
-                ]
-            )
-            outputs = digest(work)
-            first_digest = first_digest or outputs
-            if outputs != first_digest:
-                problems.append(f"round {len(rounds)} wrote other outputs than round 1")
-            if time.perf_counter() >= deadline:
-                break
+            argvs = commands(spec, inputs, work)
+            rounds: list[list[list[Step]]] = []
+            problems: list[str] = []
+            first_digests: dict[str, str] = {}
+            deadline = time.perf_counter() + args.seconds
+            while True:
+                round_steps = []
+                for name, argv, repeat, output in zip(
+                    STEPS, argvs, REPEATS[args.workload], OUTPUTS
+                ):
+                    runs = []
+                    for _ in range(repeat):
+                        runs.append(run_step(launcher, argv, work, name, args.trace == 1))
+                        written = digest(work / output)
+                        if first_digests.setdefault(name, written) != written:
+                            problems.append(
+                                f"{name} run {len(runs)} of round {len(rounds) + 1} "
+                                f"wrote other output than its first run"
+                            )
+                    round_steps.append(runs)
+                rounds.append(round_steps)
+                if time.perf_counter() >= deadline:
+                    break
         try:
             problems += check_outputs(spec, inputs, work, args.seed)
         except (OSError, ValueError, KeyError, IndexError) as exc:
@@ -265,7 +308,7 @@ def main() -> int:
         for position, name in enumerate(STEPS):
             steps = [step for round_steps in rounds for step in round_steps[position]]
             metrics[f"{name}_s"] = {
-                "value": statistics.median(s.wall_s for s in steps), "unit": "s"
+                "value": statistics.median(s.time_s for s in steps), "unit": "s"
             }
             metrics[f"{name}_peak_bytes"] = {
                 "value": statistics.median(s.peak_bytes for s in steps), "unit": "bytes"
@@ -277,7 +320,9 @@ def main() -> int:
     failed = sum(not step.ok for step in every_step)
     print(
         f"{args.workload} seed {args.seed}: {len(rounds)} rounds, "
-        f"{attempted} commands, {failed} failed",
+        f"{attempted} commands, {failed} failed; a gauge slice took "
+        f"{GAUGE_SLICE_S / statistics.median(s.scale for s in every_step) * 1e3:.3f} CPU ms "
+        f"(median over commands)",
         file=sys.stderr,
     )
     print(

@@ -43,19 +43,17 @@ class PlantedFaults(unittest.TestCase):
     def setUpClass(cls) -> None:
         cls.root = run.WORK_ROOT / f"selftest-{os.getpid()}"
         shutil.rmtree(cls.root, ignore_errors=True)
+        cls.addClassCleanup(shutil.rmtree, cls.root, ignore_errors=True)
         cls.runs = {}
-        for name, spec in (("baskets", BASKETS), ("survey", SURVEY)):
-            work = cls.root / name
-            work.mkdir(parents=True)
-            inputs = spec.generate(SEED, work)
-            for step, argv in zip(run.STEPS, run.commands(spec, inputs, work)):
-                if not run.run_step(argv, work, step, traced=False).ok:
-                    raise RuntimeError(f"{name}: {step} failed")
-            cls.runs[name] = (spec, inputs, work)
-
-    @classmethod
-    def tearDownClass(cls) -> None:
-        shutil.rmtree(cls.root, ignore_errors=True)
+        with run.start_launcher() as launcher:
+            for name, spec in (("baskets", BASKETS), ("survey", SURVEY)):
+                work = cls.root / name
+                work.mkdir(parents=True)
+                inputs = spec.generate(SEED, work)
+                for step, argv in zip(run.STEPS, run.commands(spec, inputs, work)):
+                    if not run.run_step(launcher, argv, work, step, traced=False).ok:
+                        raise RuntimeError(f"{name}: {step} failed")
+                cls.runs[name] = (spec, inputs, work)
 
     def problems_with(self, name: str, plant) -> list[str]:
         """Checks on a copy of one workload's outputs after plant(copy) edits it."""

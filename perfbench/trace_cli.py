@@ -3,7 +3,7 @@
 Usage: python3 perfbench/trace_cli.py TRACE_JSON freqmine-arguments...
 
 Each public function a layer offers is replaced, where its caller looks it
-up, by a wrapper that adds the call's wall time to a span total and counts
+up, by a wrapper that adds the call's CPU time to a span total and counts
 the work it was given or returned. The program's files are not edited. The
 span totals, the counts and the time covered by outermost spans are written
 to TRACE_JSON as JSON.
@@ -25,7 +25,7 @@ class Tracer:
     """Span totals in ns and counts, keyed by layer metric name.
 
     covered_ns is the time inside outermost spans; hook_ns is the time the
-    wrappers spend counting, outside any span, so neither is charged to the
+    wrappers spend counting outside any span. Neither is charged to the
     command's own code.
     """
 
@@ -47,63 +47,32 @@ class Tracer:
 
         def traced(*args, **kwargs):
             if before is not None:
-                started = time.perf_counter_ns()
-                before(*args)
-                self.hook_ns += time.perf_counter_ns() - started
+                self._hook(before, args)
             self._depth += 1
-            started = time.perf_counter_ns()
+            started = time.process_time_ns()
             try:
                 result = function(*args, **kwargs)
             finally:
-                elapsed = time.perf_counter_ns() - started
+                elapsed = time.process_time_ns() - started
                 self._depth -= 1
                 self.spans[name] = self.spans.get(name, 0) + elapsed
                 if self._depth == 0:
                     self.covered_ns += elapsed
             if after is not None:
-                started = time.perf_counter_ns()
-                after(result)
-                self.hook_ns += time.perf_counter_ns() - started
+                self._hook(after, (result,))
             return result
 
         return traced
 
-
-class AliveNodes:
-    """Live FP-tree nodes, followed from the projections alone.
-
-    Mining is depth first: when a tree is projected, every subtree projected
-    after it has been mined and dropped. A stack of (tree, nodes) for the
-    trees still being mined therefore gives the live count at each step.
-    """
-
-    def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-        self.stack: list[tuple[object, int]] = []
-        self.alive = 0
-        self.peak = 0
-
-    def start(self, top_nodes: int) -> None:
-        self.stack = []
-        self.alive = top_nodes
-        self.peak = max(self.peak, top_nodes)
-
-    def projecting(self, tree, *_) -> None:
-        while self.stack and self.stack[-1][0] is not tree:
-            self.alive -= self.stack.pop()[1]
-
-    def projected(self, subtree) -> None:
-        nodes = subtree.node_count
-        self.tracer.add("fpgrowth.projections", 1)
-        if nodes:
-            self.tracer.add("fpgrowth.nonempty_projections", 1)
-            self.tracer.add("fpgrowth.nodes_created", nodes)
-            self.stack.append((subtree, nodes))
-            self.alive += nodes
-            self.peak = max(self.peak, self.alive)
+    def _hook(self, hook, args) -> None:
+        """Run a counting hook; inside a span its time is already covered."""
+        started = time.process_time_ns()
+        hook(*args)
+        if self._depth == 0:
+            self.hook_ns += time.process_time_ns() - started
 
 
-def install(tracer: Tracer) -> AliveNodes:
+def install(tracer: Tracer) -> None:
     """Wrap every traced function where its caller looks it up."""
     add = tracer.add
 
@@ -141,23 +110,27 @@ def install(tracer: Tracer) -> AliveNodes:
     cli.write_frequent_csv = tracer.wrap("apriori.write_frequent", cli.write_frequent_csv)
     cli.read_support_csv = tracer.wrap("apriori.read_support", cli.read_support_csv)
 
-    alive = AliveNodes(tracer)
+    def mine_with_stats(db, min_support):
+        stats = fpgrowth.TreeStats()
+        freq = fpgrowth.fpgrowth_mine(db, min_support, stats)
+        add("fpgrowth.nodes_created", stats.nodes_created)
+        tracer.peak("fpgrowth.peak_alive_nodes", stats.peak_alive_nodes)
+        return freq
 
-    def built(result):
-        tree, _ = result
-        add("fpgrowth.tree_nodes", tree.node_count)
-        add("fpgrowth.nodes_created", tree.node_count)
-        alive.start(tree.node_count)
+    def projected(subtree):
+        add("fpgrowth.projections", 1)
+        add("fpgrowth.nonempty_projections", int(subtree.node_count > 0))
 
-    cli.fpgrowth_mine = tracer.wrap("fpgrowth.mine", cli.fpgrowth_mine)
-    fpgrowth.build_fptree = tracer.wrap("fpgrowth.build", fpgrowth.build_fptree, after=built)
+    cli.fpgrowth_mine = tracer.wrap("fpgrowth.mine", mine_with_stats)
+    fpgrowth.build_fptree = tracer.wrap(
+        "fpgrowth.build", fpgrowth.build_fptree,
+        after=lambda result: add("fpgrowth.tree_nodes", result[0].node_count),
+    )
     ranked = fpgrowth.RankedTree
     ranked.from_fptree = classmethod(
         tracer.wrap("fpgrowth.rank_copy", ranked.from_fptree.__func__)
     )
-    ranked.project = tracer.wrap(
-        "fpgrowth.project", ranked.project, before=alive.projecting, after=alive.projected
-    )
+    ranked.project = tracer.wrap("fpgrowth.project", ranked.project, after=projected)
 
     def splits(freq, *_):
         add("rules.splits", sum(2 ** len(itemset) - 2 for itemset in freq.support))
@@ -166,16 +139,13 @@ def install(tracer: Tracer) -> AliveNodes:
         "rules.generate", cli.generate_rules, splits, lambda out: add("rules.emitted", len(out))
     )
     cli.write_rules_csv = tracer.wrap("rules.write", cli.write_rules_csv)
-    return alive
 
 
 def main(argv: list[str]) -> int:
     trace_path, command = argv[0], argv[1:]
     tracer = Tracer()
-    alive = install(tracer)
+    install(tracer)
     code = cli.run_cli(command)
-    if alive.peak:
-        tracer.peak("fpgrowth.peak_alive_nodes", alive.peak)
     with open(trace_path, "w", encoding="utf-8") as handle:
         json.dump(
             {
