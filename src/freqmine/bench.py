@@ -15,7 +15,6 @@ import json
 import math
 import random
 import statistics
-import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -48,7 +47,6 @@ CSV_COLUMNS = (
     "rep_count",
     "wall_ns_median",
     "mem_proxy_bytes",
-    "rss_peak_bytes_or_-1",
     "n_frequent",
     "work_counter",
 )
@@ -167,26 +165,14 @@ def generate_synthetic(params: SynthParams) -> TransactionDb:
 class TrialMeasurement:
     """One mining run: wall time plus deterministic work and memory proxies.
 
-    rss_peak_bytes is the process-lifetime peak from the OS, or -1 where
-    unavailable; mem_proxy_bytes is the platform-independent model figure.
+    mem_proxy_bytes is the platform-independent model figure.
     """
 
     algorithm: str
     wall_ns: int
     mem_proxy_bytes: int
-    rss_peak_bytes: int
     n_frequent: int
     work_counter: int
-
-
-def _peak_rss_bytes() -> int:
-    try:
-        import resource
-    except ImportError:
-        return -1
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is kilobytes on Linux, bytes on macOS.
-    return peak if sys.platform == "darwin" else peak * 1024
 
 
 def run_trial(db: TransactionDb, min_support: int, algorithm: str) -> TrialMeasurement:
@@ -231,7 +217,7 @@ def run_trial(db: TransactionDb, min_support: int, algorithm: str) -> TrialMeasu
     n_frequent = len(freq.support)
     del freq
     gc.collect()
-    return TrialMeasurement(algorithm, wall, mem, _peak_rss_bytes(), n_frequent, work)
+    return TrialMeasurement(algorithm, wall, mem, n_frequent, work)
 
 
 @dataclass
@@ -244,7 +230,6 @@ class ReportRow:
     rep_count: int
     wall_ns_median: float | int
     mem_proxy_bytes: int
-    rss_peak_bytes: int
     n_frequent: int
     work_counter: int
 
@@ -276,7 +261,6 @@ def summarize(
         len(trials),
         wall,
         first.mem_proxy_bytes,
-        first.rss_peak_bytes,
         first.n_frequent,
         first.work_counter,
     )
@@ -377,7 +361,6 @@ def _row_record(row: ReportRow) -> dict:
         "rep_count": row.rep_count,
         "wall_ns_median": row.wall_ns_median,
         "mem_proxy_bytes": row.mem_proxy_bytes,
-        "rss_peak_bytes_or_-1": row.rss_peak_bytes,
         "n_frequent": row.n_frequent,
         "work_counter": row.work_counter,
     }
@@ -398,7 +381,6 @@ def emit_report(report: BenchReport, fmt: str = "csv") -> str:
                     row.rep_count,
                     _number_to_text(row.wall_ns_median),
                     row.mem_proxy_bytes,
-                    row.rss_peak_bytes,
                     row.n_frequent,
                     row.work_counter,
                 ]
@@ -421,7 +403,6 @@ def _row_from_fields(fields: dict) -> ReportRow:
         rep_count=int(fields["rep_count"]),
         wall_ns_median=fields["wall_ns_median"],
         mem_proxy_bytes=int(fields["mem_proxy_bytes"]),
-        rss_peak_bytes=int(fields["rss_peak_bytes_or_-1"]),
         n_frequent=int(fields["n_frequent"]),
         work_counter=int(fields["work_counter"]),
     )

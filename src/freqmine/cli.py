@@ -45,7 +45,7 @@ def _read_text(path: str) -> str:
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8 ({exc})") from None
 
@@ -75,6 +75,16 @@ def _confidence_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not 0 <= value <= 1:
         raise argparse.ArgumentTypeError("must be in [0, 1]")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
     return value
 
 
@@ -372,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "check", help="cross-validate the miners against the brute-force reference"
     )
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--cases", type=int, default=100)
+    check.add_argument("--cases", type=_positive_int, default=100)
     check.add_argument("--output", default=None)
     check.set_defaults(func=_cmd_check)
 
@@ -387,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--values", type=_axis_values, required=True,
         help="comma-separated axis values, e.g. 200,400,800",
     )
-    bench.add_argument("--reps", type=int, default=5)
+    bench.add_argument("--reps", type=_positive_int, default=5)
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_support_options(bench, required=False)
     bench.add_argument("--output", default=None)

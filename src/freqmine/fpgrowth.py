@@ -152,13 +152,6 @@ def _insert(
             stats.created(created)
 
 
-def _header_from(
-    totals: Mapping[ItemId, int], heads: dict[ItemId, FPNode], catalog: ItemCatalog
-) -> HeaderTable:
-    order = sorted(totals, key=lambda item: (-totals[item], catalog.label(item)))
-    return HeaderTable([HeaderEntry(item, totals[item], heads[item]) for item in order])
-
-
 def build_fptree(
     db: TransactionDb, min_support: int, stats: TreeStats | None = None
 ) -> tuple[FPTree, HeaderTable]:
@@ -185,7 +178,9 @@ def build_fptree(
         if sequence:
             sequence.sort(key=rank_of)
             _insert(tree, sequence, 1, heads, tails, stats)
-    return tree, _header_from(frequent, heads, db.catalog)
+    return tree, HeaderTable(
+        [HeaderEntry(item, frequent[item], heads[item]) for item in order]
+    )
 
 
 def conditional_pattern_base(
@@ -216,10 +211,7 @@ def conditional_pattern_base(
 
 
 def build_conditional_tree(
-    base: ConditionalPatternBase,
-    min_support: int,
-    catalog: ItemCatalog,
-    stats: TreeStats | None = None,
+    base: ConditionalPatternBase, min_support: int, catalog: ItemCatalog
 ) -> tuple[FPTree, HeaderTable]:
     """Re-insert the base's paths weighted by their counts, filtered by total.
 
@@ -236,36 +228,10 @@ def build_conditional_tree(
     tree = FPTree(catalog)
     heads: dict[ItemId, FPNode] = {}
     tails: dict[ItemId, FPNode] = {}
-    # Inlined insertion (see _insert): this loop dominates mining time, so
-    # the infrequent-item filter is fused into the walk and node creation is
-    # tallied once per tree. The resulting tree is identical.
-    root = tree.root
-    make_node = FPNode
-    tails_get = tails.get
-    created = 0
     for path, count in base.paths:
-        node = root
-        for item in path:
-            if item in kept:
-                children = node.children
-                child = children.get(item)
-                if child is None:
-                    child = make_node(item, node)
-                    children[item] = child
-                    created += 1
-                    tail = tails_get(item)
-                    if tail is None:
-                        heads[item] = child
-                    else:
-                        tail.next_same_item = child
-                    tails[item] = child
-                child.count += count
-                node = child
-    if created:
-        tree.node_count = created
-        if stats is not None:
-            stats.created(created)
-    return tree, _header_from(kept, heads, catalog)
+        _insert(tree, [item for item in path if item in kept], count, heads, tails, None)
+    order = sorted(kept, key=lambda item: (-kept[item], catalog.label(item)))
+    return tree, HeaderTable([HeaderEntry(item, kept[item], heads[item]) for item in order])
 
 
 class RankedTree:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .apriori import FrequentItemsets
+from .apriori import LABEL_JOINER, FrequentItemsets, sorted_itemsets
 from .dataset import ItemCatalog, Itemset
 from .errors import ClosureViolationError, ContractViolationError
 
@@ -22,7 +22,6 @@ ACCEPTED = "Accepted"
 REJECTED = "Rejected"
 
 RULES_CSV_HEADER = ("antecedent", "consequent", "support", "confidence", "status")
-LABEL_JOINER = "|"
 
 
 def rule_confidence(sup_union: int, sup_antecedent: int) -> tuple[int, int, float]:
@@ -64,13 +63,6 @@ class AssociationRule:
     status: str
 
 
-def _rule_order_key(
-    rule: AssociationRule, catalog: ItemCatalog
-) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
-    union = tuple(sorted(rule.antecedent + rule.consequent))
-    return (len(union), catalog.labels_of(union), catalog.labels_of(rule.antecedent))
-
-
 def generate_rules(
     freq: FrequentItemsets,
     catalog: ItemCatalog,
@@ -81,39 +73,42 @@ def generate_rules(
 
     An itemset of size k yields 2**k - 2 splits before filtering. Every
     antecedent's support must itself be stored (downward closure); a missing
-    one raises ClosureViolationError. Rules are ordered by source itemset
-    size, then source labels, then antecedent labels.
+    one raises ClosureViolationError. Rules come out itemset by itemset in
+    sorted_itemsets order, the itemset CSV's, and within an itemset by
+    antecedent labels.
     """
+    support = freq.support
     out: list[AssociationRule] = []
-    for itemset, sup_union in freq.support.items():
+    for itemset in sorted_itemsets(freq, catalog):
         if len(itemset) < 2:
             continue
+        sup_union = support[itemset]
+        kept: list[tuple[Itemset, int, int, float, bool]] = []
         for take in range(1, len(itemset)):
             for antecedent in combinations(itemset, take):
-                sup_antecedent = freq.support.get(antecedent)
+                sup_antecedent = support.get(antecedent)
                 if sup_antecedent is None:
                     raise ClosureViolationError(
                         "no stored support for antecedent "
                         f"{LABEL_JOINER.join(catalog.labels_of(antecedent))!r}"
                     )
-                chosen = set(antecedent)
-                consequent = tuple(item for item in itemset if item not in chosen)
                 num, den, quotient = rule_confidence(sup_union, sup_antecedent)
                 accepted = meets_confidence(num, den, min_confidence)
-                if not accepted and not include_rejected:
-                    continue
-                out.append(
-                    AssociationRule(
-                        antecedent,
-                        consequent,
-                        sup_union,
-                        num,
-                        den,
-                        quotient,
-                        ACCEPTED if accepted else REJECTED,
-                    )
+                if accepted or include_rejected:
+                    kept.append((antecedent, num, den, quotient, accepted))
+        kept.sort(key=lambda split: catalog.labels_of(split[0]))
+        for antecedent, num, den, quotient, accepted in kept:
+            out.append(
+                AssociationRule(
+                    antecedent,
+                    tuple(item for item in itemset if item not in antecedent),
+                    sup_union,
+                    num,
+                    den,
+                    quotient,
+                    ACCEPTED if accepted else REJECTED,
                 )
-    out.sort(key=lambda rule: _rule_order_key(rule, catalog))
+            )
     return out
 
 

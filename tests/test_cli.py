@@ -117,6 +117,25 @@ def test_mine_rejects_non_utf8(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+def test_mine_ignores_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b\na\n", encoding="utf-8-sig")
+    assert run_cli(["mine", str(path), "--min-support", "1"]) == 0
+    assert capsys.readouterr().out == "itemset,support\na,2\nb,1\na|b,1\n"
+
+
+def test_mine_alias_file_ignores_byte_order_mark(tmp_path, capsys):
+    data = tmp_path / "rows.csv"
+    data.write_text("Panic attacks\n", encoding="utf-8")
+    aliases = tmp_path / "aliases.csv"
+    aliases.write_text("Panic attacks,Anxiety\n", encoding="utf-8-sig")
+    code = run_cli(
+        ["mine", str(data), "--min-support", "1", "--alias-file", str(aliases)]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == "itemset,support\nAnxiety,1\n"
+
+
 def test_mine_requires_a_threshold(db5_file, capsys):
     assert run_cli(["mine", db5_file]) == 2
 
@@ -137,6 +156,16 @@ def test_rules_from_transactions(db5_file, capsys):
 def test_rules_from_support_csv(tmp_path, capsys):
     table = tmp_path / "supports.csv"
     table.write_text(DB5_FREQ_GOLDEN, encoding="utf-8")
+    code = run_cli(
+        ["rules", "--support-csv", str(table), "--min-confidence", "0.75"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == DB5_RULES_GOLDEN
+
+
+def test_rules_support_csv_ignores_byte_order_mark(tmp_path, capsys):
+    table = tmp_path / "supports.csv"
+    table.write_text(DB5_FREQ_GOLDEN, encoding="utf-8-sig")
     code = run_cli(
         ["rules", "--support-csv", str(table), "--min-confidence", "0.75"]
     )
@@ -219,6 +248,13 @@ def test_recode_survey(capsys):
     assert capsys.readouterr().out == RECODE_GOLDEN
 
 
+def test_recode_ignores_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "survey.csv"
+    path.write_text("age,impacts\n20,Anxiety\n", encoding="utf-8-sig")
+    assert run_cli(["recode", str(path)]) == 0
+    assert capsys.readouterr().out == "18-24,Anxiety\n"
+
+
 def test_recode_custom_columns_and_delimiter(tmp_path, capsys):
     path = tmp_path / "survey.csv"
     path.write_text("years,effects\n20,Anxiety|Panic\n", encoding="utf-8")
@@ -279,6 +315,12 @@ def test_recode_rejects_negative_age(tmp_path, capsys):
 def test_check_reports_agreement(capsys):
     assert run_cli(["check", "--cases", "5", "--seed", "1"]) == 0
     assert capsys.readouterr().out == "ok: 5 cases agree across all miners\n"
+
+
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_check_rejects_non_positive_cases(cases, capsys):
+    assert run_cli(["check", "--cases", cases]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_check_mismatch_exits_three(monkeypatch, capsys):
@@ -367,6 +409,15 @@ def test_bench_rejects_non_numeric_values(capsys):
         ["bench", "--axis", "min_support", "--values", "a,b"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_bench_rejects_non_positive_reps(reps, capsys):
+    code = run_cli(
+        ["bench", "--axis", "min_support", "--values", "2", "--reps", reps]
+    )
+    assert code == 2
+    assert "--reps" in capsys.readouterr().err
 
 
 def test_bench_invalid_shape_is_data_error(capsys):

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
-from freqmine.apriori import FrequentItemsets, apriori_mine
+from freqmine.apriori import FrequentItemsets, MiningParams, apriori_mine
 from freqmine.dataset import ItemCatalog, parse_transactions
 from freqmine.errors import ClosureViolationError, ContractViolationError
+from freqmine.oracle import brute_force_rules
 from freqmine.rules import (
     ACCEPTED,
     REJECTED,
@@ -109,6 +111,22 @@ def test_generate_rules_ordering():
         for r in ruleset
     ]
     assert keys == sorted(keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    conftest.dbs_with_threshold(),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+)
+def test_generate_rules_matches_brute_force_in_order(case, confidence):
+    """Same rules in the same order as the oracle, on catalogs whose label order
+    differs from handle order."""
+    db, threshold = case
+    freq = apriori_mine(db, threshold)
+    params = MiningParams(threshold, confidence)
+    for include_rejected in (False, True):
+        generated = generate_rules(freq, db.catalog, confidence, include_rejected)
+        assert generated == brute_force_rules(db, params, include_rejected)
 
 
 @settings(max_examples=60, deadline=None)
