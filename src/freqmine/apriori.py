@@ -25,6 +25,13 @@ CandidateSet = set[Itemset]
 FREQUENT_CSV_HEADER = ("itemset", "support")
 LABEL_JOINER = "|"
 
+# Fixed memory model, so memory proxies compare across platforms: a k-itemset
+# costs one tuple of k machine words. These are accounting constants, not a
+# claim about the interpreter's real allocations.
+ITEMSET_BASE_BYTES = 56
+ITEMSET_WORD_BYTES = 8
+
+
 @dataclass(frozen=True)
 class MiningParams:
     """Thresholds shared by mining and rule generation.
@@ -59,7 +66,8 @@ class AprioriStats:
 
     level_candidates records (itemset size, candidates counted) per level,
     starting with the distinct singletons. The counters depend only on the
-    database and threshold, never on timing.
+    database and threshold, never on timing. work_counter and mem_proxy_bytes
+    are the figures the benchmark harness reports for every miner.
     """
 
     level_candidates: list[tuple[int, int]] = field(default_factory=list)
@@ -67,6 +75,19 @@ class AprioriStats:
     @property
     def candidates_tested(self) -> int:
         return sum(count for _, count in self.level_candidates)
+
+    work_counter = candidates_tested
+
+    @property
+    def mem_proxy_bytes(self) -> int:
+        """Footprint of the largest candidate level under the fixed byte model."""
+        return max(
+            (
+                count * (ITEMSET_BASE_BYTES + ITEMSET_WORD_BYTES * size)
+                for size, count in self.level_candidates
+            ),
+            default=0,
+        )
 
 
 def threshold_singletons(

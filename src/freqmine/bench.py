@@ -17,10 +17,10 @@ import random
 import statistics
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .apriori import AprioriStats, apriori_mine
 from .dataset import ItemCatalog, TransactionDb
@@ -29,27 +29,10 @@ from .fpgrowth import TreeStats, fpgrowth_mine
 
 APRIORI = "apriori"
 FPGROWTH = "fpgrowth"
-ALGORITHMS = (APRIORI, FPGROWTH)
+# Each algorithm's miner and the stats class whose counters run_trial reports.
+MINERS = {APRIORI: (apriori_mine, AprioriStats), FPGROWTH: (fpgrowth_mine, TreeStats)}
 
 AXES = ("min_support", "n_transactions", "mean_len", "n_items")
-
-# Fixed memory model so reports compare across platforms: a k-itemset costs a
-# tuple of k machine words, a tree node one fixed object footprint. These are
-# accounting constants, not a claim about the interpreter's real allocations.
-ITEMSET_BASE_BYTES = 56
-ITEMSET_WORD_BYTES = 8
-TREE_NODE_BYTES = 160
-
-CSV_COLUMNS = (
-    "axis",
-    "axis_value",
-    "algorithm",
-    "rep_count",
-    "wall_ns_median",
-    "mem_proxy_bytes",
-    "n_frequent",
-    "work_counter",
-)
 
 
 @dataclass(frozen=True)
@@ -178,51 +161,40 @@ class TrialMeasurement:
 def run_trial(db: TransactionDb, min_support: int, algorithm: str) -> TrialMeasurement:
     """Mine once and measure.
 
-    The work counter is candidates tested for the levelwise miner and tree
-    nodes created (conditional trees included) for FP-Growth; the memory
-    proxy is the peak candidate-level footprint or the peak count of live
-    tree nodes, under the fixed byte model. The cyclic collector is paused
-    while the clock runs (as timeit does) so collector pauses don't land in
-    one trial's wall time; everything the trial allocated is collected after
-    the clock stops.
+    The work counter and memory proxy are read from the miner's own stats
+    object (AprioriStats or TreeStats). The cyclic collector is paused while
+    the clock runs (as timeit does) so collector pauses don't land in one
+    trial's wall time; everything the trial allocated is collected after the
+    clock stops.
     """
-    if algorithm not in (APRIORI, FPGROWTH):
+    if algorithm not in MINERS:
         raise ValidationError(f"unknown algorithm: {algorithm!r}")
+    mine, make_stats = MINERS[algorithm]
+    stats = make_stats()
     collector_was_on = gc.isenabled()
     gc.disable()
     try:
-        if algorithm == APRIORI:
-            apriori_stats = AprioriStats()
-            started = time.perf_counter_ns()
-            freq = apriori_mine(db, min_support, stats=apriori_stats)
-            wall = time.perf_counter_ns() - started
-            work = apriori_stats.candidates_tested
-            mem = max(
-                (
-                    count * (ITEMSET_BASE_BYTES + ITEMSET_WORD_BYTES * size)
-                    for size, count in apriori_stats.level_candidates
-                ),
-                default=0,
-            )
-        else:
-            tree_stats = TreeStats()
-            started = time.perf_counter_ns()
-            freq = fpgrowth_mine(db, min_support, stats=tree_stats)
-            wall = time.perf_counter_ns() - started
-            work = tree_stats.nodes_created
-            mem = tree_stats.peak_alive_nodes * TREE_NODE_BYTES
+        started = time.perf_counter_ns()
+        freq = mine(db, min_support, stats)
+        wall = time.perf_counter_ns() - started
     finally:
         if collector_was_on:
             gc.enable()
     n_frequent = len(freq.support)
     del freq
     gc.collect()
-    return TrialMeasurement(algorithm, wall, mem, n_frequent, work)
+    return TrialMeasurement(
+        algorithm, wall, stats.mem_proxy_bytes, n_frequent, stats.work_counter
+    )
 
 
 @dataclass
 class ReportRow:
-    """One (axis value, algorithm) aggregate: median wall time over reps."""
+    """One (axis value, algorithm) aggregate: median wall time over reps.
+
+    The fields, in order, are the report's CSV columns and JSON row keys;
+    parse_report converts each by its annotation.
+    """
 
     axis: str
     axis_value: float | int
@@ -232,6 +204,9 @@ class ReportRow:
     mem_proxy_bytes: int
     n_frequent: int
     work_counter: int
+
+
+CSV_COLUMNS = tuple(column.name for column in fields(ReportRow))
 
 
 @dataclass
@@ -311,13 +286,9 @@ def sweep(
 
     config = {
         "axis": axis,
-        "values": [v for v in sorted(values)],
+        "values": sorted(values),
         "repetitions": repetitions,
-        "n_transactions": base.n_transactions,
-        "n_items": base.n_items,
-        "mean_len": base.mean_len,
-        "skew": base.skew,
-        "seed": base.seed,
+        **asdict(base),
         "min_support": min_support,
         "min_support_frac": str(min_support_frac) if min_support_frac is not None else None,
     }
@@ -337,14 +308,10 @@ def sweep(
                 threshold = min_support
             else:
                 threshold = max(1, math.ceil(min_support_frac * db.n))
-        for algorithm in ALGORITHMS:
+        for algorithm in MINERS:
             trials = [run_trial(db, threshold, algorithm) for _ in range(repetitions)]
             rows.append(summarize(axis, value, trials))
     return BenchReport(config, rows)
-
-
-def _number_to_text(value: float | int) -> str:
-    return str(value)
 
 
 def _number_from_text(text: str) -> float | int:
@@ -353,79 +320,52 @@ def _number_from_text(text: str) -> float | int:
     return int(text)
 
 
-def _row_record(row: ReportRow) -> dict:
-    return {
-        "axis": row.axis,
-        "axis_value": row.axis_value,
-        "algorithm": row.algorithm,
-        "rep_count": row.rep_count,
-        "wall_ns_median": row.wall_ns_median,
-        "mem_proxy_bytes": row.mem_proxy_bytes,
-        "n_frequent": row.n_frequent,
-        "work_counter": row.work_counter,
-    }
-
-
 def emit_report(report: BenchReport, fmt: str = "csv") -> str:
     """Render a report as CSV (rows only) or JSON (config echo plus rows)."""
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row.axis,
-                    _number_to_text(row.axis_value),
-                    row.algorithm,
-                    row.rep_count,
-                    _number_to_text(row.wall_ns_median),
-                    row.mem_proxy_bytes,
-                    row.n_frequent,
-                    row.work_counter,
-                ]
-            )
+        writer.writerows(astuple(row) for row in report.rows)
         return buffer.getvalue()
     if fmt == "json":
         payload = {
             "config": report.config,
-            "rows": [_row_record(row) for row in report.rows],
+            "rows": [asdict(row) for row in report.rows],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     raise ValidationError(f"unknown report format: {fmt!r}")
 
 
-def _row_from_fields(fields: dict) -> ReportRow:
-    return ReportRow(
-        axis=fields["axis"],
-        axis_value=fields["axis_value"],
-        algorithm=fields["algorithm"],
-        rep_count=int(fields["rep_count"]),
-        wall_ns_median=fields["wall_ns_median"],
-        mem_proxy_bytes=int(fields["mem_proxy_bytes"]),
-        n_frequent=int(fields["n_frequent"]),
-        work_counter=int(fields["work_counter"]),
-    )
+def _rebuild_rows(
+    records: list[dict], number: Callable[[Any], float | int]
+) -> list[ReportRow]:
+    """ReportRows from parsed records, each field converted by its annotation."""
+    convert = {"str": str, "int": int, "float | int": number}
+    return [
+        ReportRow(
+            **{
+                column.name: convert[column.type](record[column.name])
+                for column in fields(ReportRow)
+            }
+        )
+        for record in records
+    ]
 
 
 def parse_report(content: str, fmt: str = "csv") -> BenchReport:
     """Parse emit_report output back; CSV reports carry an empty config."""
     if fmt == "csv":
-        reader = csv.reader(io.StringIO(content))
-        rows = list(reader)
-        if not rows or tuple(rows[0]) != CSV_COLUMNS:
+        lines = list(csv.reader(io.StringIO(content)))
+        if not lines or tuple(lines[0]) != CSV_COLUMNS:
             raise ValidationError("report CSV is missing its header row")
-        parsed = []
-        for row in rows[1:]:
-            if len(row) != len(CSV_COLUMNS):
-                raise ValidationError(f"report row has {len(row)} columns")
-            fields = dict(zip(CSV_COLUMNS, row))
-            fields["axis_value"] = _number_from_text(fields["axis_value"])
-            fields["wall_ns_median"] = _number_from_text(fields["wall_ns_median"])
-            parsed.append(_row_from_fields(fields))
-        return BenchReport({}, parsed)
+        for line in lines[1:]:
+            if len(line) != len(CSV_COLUMNS):
+                raise ValidationError(f"report row has {len(line)} columns")
+        records = [dict(zip(CSV_COLUMNS, line)) for line in lines[1:]]
+        return BenchReport({}, _rebuild_rows(records, _number_from_text))
     if fmt == "json":
         payload = json.loads(content)
-        parsed = [_row_from_fields(fields) for fields in payload["rows"]]
-        return BenchReport(payload.get("config", {}), parsed)
+        rows = _rebuild_rows(payload["rows"], lambda value: value)
+        return BenchReport(payload.get("config", {}), rows)
     raise ValidationError(f"unknown report format: {fmt!r}")

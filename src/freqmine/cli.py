@@ -19,7 +19,13 @@ from fractions import Fraction
 from math import ceil
 
 from . import __version__
-from .apriori import MiningParams, apriori_mine, read_support_csv, write_frequent_csv
+from .apriori import (
+    FrequentItemsets,
+    MiningParams,
+    apriori_mine,
+    read_support_csv,
+    write_frequent_csv,
+)
 from .bench import SynthParams, emit_report, sweep
 from .dataset import (
     ItemCatalog,
@@ -112,7 +118,7 @@ def _axis_values(text: str) -> list[float | int]:
 def _add_support_options(parser: argparse.ArgumentParser, required: bool) -> None:
     group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument(
-        "--min-support", type=int, metavar="N",
+        "--min-support", type=_positive_int, metavar="N",
         help="absolute support threshold (transaction count)",
     )
     group.add_argument(
@@ -272,7 +278,21 @@ def _find_mismatch(db: TransactionDb, threshold: int, confidence: Fraction) -> s
     )
     if generated != recounted:
         return "generate_rules disagrees with brute-force rule recounting"
+    table = write_frequent_csv(levelwise, db.catalog)
+    if _support_by_labels(*read_support_csv(table)) != _support_by_labels(
+        levelwise, db.catalog
+    ):
+        return "the support CSV does not round-trip the apriori itemsets"
     return None
+
+
+def _support_by_labels(
+    freq: FrequentItemsets, catalog: ItemCatalog
+) -> dict[frozenset[str], int]:
+    return {
+        frozenset(catalog.labels_of(itemset)): count
+        for itemset, count in freq.support.items()
+    }
 
 
 def _shrink(

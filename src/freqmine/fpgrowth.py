@@ -23,6 +23,11 @@ from .errors import ValidationError
 # Sentinel item for the root node; never a valid catalog handle.
 ROOT_ITEM: ItemId = -1
 
+# Fixed memory model, so memory proxies compare across platforms: every tree
+# node costs one object footprint. An accounting constant, not a claim about
+# the interpreter's real allocations.
+TREE_NODE_BYTES = 160
+
 
 class FPNode:
     """One prefix-tree node; next_same_item threads the per-item chain."""
@@ -81,11 +86,24 @@ class FPTree:
 
 @dataclass
 class TreeStats:
-    """Node-creation counters across a mining run, conditional trees included."""
+    """Node-creation counters across a mining run, conditional trees included.
+
+    work_counter and mem_proxy_bytes are the figures the benchmark harness
+    reports for every miner.
+    """
 
     nodes_created: int = 0
     alive_nodes: int = 0
     peak_alive_nodes: int = 0
+
+    @property
+    def work_counter(self) -> int:
+        return self.nodes_created
+
+    @property
+    def mem_proxy_bytes(self) -> int:
+        """Peak count of live nodes under the fixed byte model."""
+        return self.peak_alive_nodes * TREE_NODE_BYTES
 
     def created(self, count: int = 1) -> None:
         self.nodes_created += count

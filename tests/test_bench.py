@@ -1,5 +1,6 @@
 """Benchmark harness: synthetic generation, trials, sweeps, report formats."""
 
+import json
 import statistics
 
 import pytest
@@ -300,3 +301,44 @@ def test_single_trial_report_row_for_known_db(db5):
     fields = line.split(",")
     assert fields[0:4] == ["min_support", "3", "apriori", "1"]
     assert fields[-2:] == ["6", "8"]
+
+
+def test_report_non_timing_output_is_pinned(db5):
+    rows = [
+        summarize("min_support", 3, [run_trial(db5, 3, algorithm)])
+        for algorithm in (APRIORI, FPGROWTH)
+    ]
+    lines = emit_report(BenchReport({}, rows), "csv").splitlines()
+    wall = CSV_COLUMNS.index("wall_ns_median")
+    masked = [line.split(",") for line in lines]
+    for fields in masked[1:]:
+        fields[wall] = "*"
+    assert masked == [
+        list(CSV_COLUMNS),
+        ["min_support", "3", "apriori", "1", "*", "256", "6", "8"],
+        ["min_support", "3", "fpgrowth", "1", "*", "1440", "6", "10"],
+    ]
+
+
+def test_report_json_config_is_pinned():
+    from fractions import Fraction
+
+    report = sweep(
+        BASE,
+        "n_transactions",
+        [80, 40],
+        repetitions=1,
+        min_support_frac=Fraction(1, 10),
+    )
+    assert json.loads(emit_report(report, "json"))["config"] == {
+        "axis": "n_transactions",
+        "values": [40, 80],
+        "repetitions": 1,
+        "n_transactions": 60,
+        "n_items": 8,
+        "mean_len": 3.0,
+        "skew": 1.0,
+        "seed": 5,
+        "min_support": None,
+        "min_support_frac": "1/10",
+    }

@@ -145,6 +145,12 @@ def test_mine_rejects_bad_fraction(db5_file, value, capsys):
     assert run_cli(["mine", db5_file, "--min-support-frac", value]) == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_mine_rejects_non_positive_support(db5_file, value, capsys):
+    assert run_cli(["mine", db5_file, "--min-support", value]) == 2
+    assert "--min-support" in capsys.readouterr().err
+
+
 def test_rules_from_transactions(db5_file, capsys):
     code = run_cli(
         ["rules", db5_file, "--min-support", "3", "--min-confidence", "0.75"]
@@ -224,6 +230,15 @@ def test_rules_from_transactions_needs_threshold(db5_file, capsys):
 @pytest.mark.parametrize("value", ["1.2", "-0.1", "x"])
 def test_rules_rejects_out_of_range_confidence(db5_file, value):
     assert run_cli(["rules", db5_file, "--min-support", "3", "--min-confidence", value]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_rules_rejects_non_positive_support(db5_file, value, capsys):
+    code = run_cli(
+        ["rules", db5_file, "--min-support", value, "--min-confidence", "0.5"]
+    )
+    assert code == 2
+    assert "--min-support" in capsys.readouterr().err
 
 
 def test_rules_requires_confidence(db5_file):
@@ -332,6 +347,20 @@ def test_check_mismatch_exits_three(monkeypatch, capsys):
     assert "mismatch in case 0" in err
     assert "forced disagreement" in err
     assert "min_support=" in err
+
+
+def test_check_covers_support_csv_route(monkeypatch, capsys):
+    import freqmine.cli as cli
+
+    real_read = cli.read_support_csv
+
+    def read_dropping_last_row(content):
+        lines = content.splitlines(keepends=True)
+        return real_read("".join(lines[:-1]) if len(lines) > 1 else content)
+
+    monkeypatch.setattr(cli, "read_support_csv", read_dropping_last_row)
+    assert run_cli(["check", "--cases", "5", "--seed", "1"]) == 3
+    assert "support CSV" in capsys.readouterr().err
 
 
 def test_bench_csv_report(capsys):
