@@ -182,26 +182,20 @@ def apriori_mine(
     """
     if min_support < 1:
         raise ValidationError(f"min_support must be >= 1, got {min_support}")
+    if stats is None:
+        stats = AprioriStats()
     counts = item_frequencies(db)
-    if stats is not None:
-        stats.level_candidates.append((1, len(counts)))
-    level_support = threshold_singletons(counts, min_support)
-    support: dict[Itemset, int] = dict(level_support)
-    level: set[Itemset] = set(level_support)
+    stats.level_candidates.append((1, len(counts)))
+    level = threshold_singletons(counts, min_support)
+    support = dict(level)
     while level:
         candidates = prune_candidates(join_candidates(level), level)
         if not candidates:
             break
-        if stats is not None:
-            size = len(next(iter(candidates)))
-            stats.level_candidates.append((size, len(candidates)))
+        stats.level_candidates.append((len(next(iter(candidates))), len(candidates)))
         tallies = count_support(db, candidates)
-        level = set()
-        for candidate in sorted(tallies):
-            count = tallies[candidate]
-            if count >= min_support:
-                support[candidate] = count
-                level.add(candidate)
+        level = {itemset: count for itemset, count in tallies.items() if count >= min_support}
+        support.update(level)
     return FrequentItemsets(support, db.n)
 
 

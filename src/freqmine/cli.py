@@ -17,6 +17,7 @@ import string
 import sys
 from fractions import Fraction
 from math import ceil
+from typing import Iterator
 
 from . import __version__
 from .apriori import (
@@ -264,26 +265,41 @@ def _random_case(rng: random.Random) -> tuple[TransactionDb, int, Fraction]:
     return db, threshold, confidence
 
 
-def _find_mismatch(db: TransactionDb, threshold: int, confidence: Fraction) -> str | None:
+def _comparisons(
+    db: TransactionDb, threshold: int, confidence: Fraction
+) -> Iterator[tuple[str, bool]]:
+    """(reason, differs) per cross-check, cheapest first, each run on demand."""
     reference = brute_force_frequent(db, threshold)
     levelwise = apriori_mine(db, threshold)
-    if levelwise.support != reference.support:
-        return "apriori disagrees with brute force on frequent itemsets"
-    treewise = fpgrowth_mine(db, threshold)
-    if treewise.support != reference.support:
-        return "fpgrowth disagrees with brute force on frequent itemsets"
-    generated = generate_rules(levelwise, db.catalog, confidence, include_rejected=True)
-    recounted = brute_force_rules(
-        db, MiningParams(threshold, confidence), include_rejected=True
+    yield (
+        "apriori disagrees with brute force on frequent itemsets",
+        levelwise.support != reference.support,
     )
-    if generated != recounted:
-        return "generate_rules disagrees with brute-force rule recounting"
+    yield (
+        "fpgrowth disagrees with brute force on frequent itemsets",
+        fpgrowth_mine(db, threshold).support != reference.support,
+    )
     table = write_frequent_csv(levelwise, db.catalog)
-    if _support_by_labels(*read_support_csv(table)) != _support_by_labels(
-        levelwise, db.catalog
-    ):
-        return "the support CSV does not round-trip the apriori itemsets"
-    return None
+    yield (
+        "the support CSV does not round-trip the apriori itemsets",
+        _support_by_labels(*read_support_csv(table))
+        != _support_by_labels(levelwise, db.catalog),
+    )
+    yield (
+        "generate_rules disagrees with brute-force rule recounting",
+        generate_rules(levelwise, db.catalog, confidence, include_rejected=True)
+        != brute_force_rules(
+            db, MiningParams(threshold, confidence), include_rejected=True
+        ),
+    )
+
+
+def _find_mismatch(db: TransactionDb, threshold: int, confidence: Fraction) -> str | None:
+    """The reason of the first comparison that fails, or None."""
+    return next(
+        (reason for reason, differs in _comparisons(db, threshold, confidence) if differs),
+        None,
+    )
 
 
 def _support_by_labels(
@@ -296,9 +312,14 @@ def _support_by_labels(
 
 
 def _shrink(
-    db: TransactionDb, threshold: int, confidence: Fraction
+    db: TransactionDb, threshold: int, confidence: Fraction, reason: str
 ) -> TransactionDb:
-    """Greedy minimization: drop any transaction whose removal keeps the mismatch."""
+    """Greedy minimization: drop any transaction whose removal keeps reason failing."""
+
+    def still_fails(candidate: TransactionDb) -> bool:
+        comparisons = _comparisons(candidate, threshold, confidence)
+        return next((differs for name, differs in comparisons if name == reason), False)
+
     transactions = list(db.transactions)
     changed = True
     while changed:
@@ -307,7 +328,7 @@ def _shrink(
             candidate = TransactionDb(
                 db.catalog, tuple(transactions[:index] + transactions[index + 1 :])
             )
-            if _find_mismatch(candidate, threshold, confidence) is not None:
+            if still_fails(candidate):
                 del transactions[index]
                 changed = True
     return TransactionDb(db.catalog, tuple(transactions))
@@ -325,8 +346,7 @@ def run_check(seed: int, cases: int) -> str | None:
         reason = _find_mismatch(db, threshold, confidence)
         if reason is None:
             continue
-        small = _shrink(db, threshold, confidence)
-        reason = _find_mismatch(small, threshold, confidence) or reason
+        small = _shrink(db, threshold, confidence, reason)
         return (
             f"mismatch in case {case_index}: {reason}\n"
             f"min_support={threshold} min_confidence={confidence}\n"

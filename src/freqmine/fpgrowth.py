@@ -122,20 +122,17 @@ class ConditionalPatternBase:
     paths: list[tuple[tuple[ItemId, ...], int]] = field(default_factory=list)
 
 
-def order_transaction(
-    transaction: Itemset,
-    counts: Mapping[ItemId, int],
-    min_support: int,
-    catalog: ItemCatalog,
-) -> tuple[ItemId, ...]:
-    """Frequency-ordered view of a transaction.
+def _frequent_order(
+    totals: Mapping[ItemId, int], min_support: int, catalog: ItemCatalog
+) -> list[ItemId]:
+    """Header order of the items whose total is at least min_support.
 
-    Items below min_support are dropped; the rest sort by descending count
-    with ties broken by ascending display label.
+    Totals descend and ties go by ascending display label (Han, Pei & Yin,
+    SIGMOD 2000, section 2).
     """
-    kept = [item for item in transaction if counts.get(item, 0) >= min_support]
-    kept.sort(key=lambda item: (-counts[item], catalog.label(item)))
-    return tuple(kept)
+    order = [item for item, total in totals.items() if total >= min_support]
+    order.sort(key=lambda item: (-totals[item], catalog.label(item)))
+    return order
 
 
 def _insert(
@@ -144,7 +141,6 @@ def _insert(
     count: int,
     heads: dict[ItemId, FPNode],
     tails: dict[ItemId, FPNode],
-    stats: TreeStats | None,
 ) -> None:
     """Add one ordered sequence with a count, extending chains at the tail."""
     node = tree.root
@@ -164,15 +160,10 @@ def _insert(
             tails[item] = child
         child.count += count
         node = child
-    if created:
-        tree.node_count += created
-        if stats is not None:
-            stats.created(created)
+    tree.node_count += created
 
 
-def build_fptree(
-    db: TransactionDb, min_support: int, stats: TreeStats | None = None
-) -> tuple[FPTree, HeaderTable]:
+def build_fptree(db: TransactionDb, min_support: int) -> tuple[FPTree, HeaderTable]:
     """Two-pass construction: count items, then insert each ordered transaction.
 
     The header table contains exactly the items with support >= min_support;
@@ -182,10 +173,8 @@ def build_fptree(
     if min_support < 1:
         raise ValidationError(f"min_support must be >= 1, got {min_support}")
     counts = item_frequencies(db)
-    frequent = {item: c for item, c in counts.items() if c >= min_support}
-    # Ranks encode the (-count, label) order once so per-transaction sorting
-    # stays cheap; the resulting order matches order_transaction exactly.
-    order = sorted(frequent, key=lambda item: (-frequent[item], db.catalog.label(item)))
+    # Ranks encode the header order once so per-transaction sorting stays cheap.
+    order = _frequent_order(counts, min_support, db.catalog)
     rank = {item: position for position, item in enumerate(order)}
     rank_of = rank.__getitem__
     tree = FPTree(db.catalog)
@@ -195,10 +184,8 @@ def build_fptree(
         sequence = [item for item in transaction if item in rank]
         if sequence:
             sequence.sort(key=rank_of)
-            _insert(tree, sequence, 1, heads, tails, stats)
-    return tree, HeaderTable(
-        [HeaderEntry(item, frequent[item], heads[item]) for item in order]
-    )
+            _insert(tree, sequence, 1, heads, tails)
+    return tree, HeaderTable([HeaderEntry(item, counts[item], heads[item]) for item in order])
 
 
 def conditional_pattern_base(
@@ -242,14 +229,14 @@ def build_conditional_tree(
     for path, count in base.paths:
         for item in path:
             totals[item] = totals_get(item, 0) + count
-    kept = {item: total for item, total in totals.items() if total >= min_support}
+    order = _frequent_order(totals, min_support, catalog)
+    kept = set(order)
     tree = FPTree(catalog)
     heads: dict[ItemId, FPNode] = {}
     tails: dict[ItemId, FPNode] = {}
     for path, count in base.paths:
-        _insert(tree, [item for item in path if item in kept], count, heads, tails, None)
-    order = sorted(kept, key=lambda item: (-kept[item], catalog.label(item)))
-    return tree, HeaderTable([HeaderEntry(item, kept[item], heads[item]) for item in order])
+        _insert(tree, [item for item in path if item in kept], count, heads, tails)
+    return tree, HeaderTable([HeaderEntry(item, totals[item], heads[item]) for item in order])
 
 
 class RankedTree:
@@ -375,7 +362,7 @@ def _mine(
     items: Sequence[ItemId],
     min_support: int,
     out: dict[Itemset, int],
-    stats: TreeStats | None,
+    stats: TreeStats,
 ) -> None:
     # Highest rank first, as the reference route walks the top-level header
     # from its least frequent item upward.
@@ -387,25 +374,23 @@ def _mine(
         subtree = tree.project(rank, min_support)
         created = subtree.node_count
         if created:
-            if stats is not None:
-                stats.created(created)
+            stats.created(created)
             _mine(subtree, itemset, items, min_support, out, stats)
-            if stats is not None:
-                stats.freed(created)
+            stats.freed(created)
 
 
 def fpgrowth_mine(
     db: TransactionDb, min_support: int, stats: TreeStats | None = None
 ) -> FrequentItemsets:
     """Mine all itemsets with support >= min_support by conditional projection."""
-    if min_support < 1:
-        raise ValidationError(f"min_support must be >= 1, got {min_support}")
-    tree, header = build_fptree(db, min_support, stats)
+    if stats is None:
+        stats = TreeStats()
+    tree, header = build_fptree(db, min_support)
+    stats.created(tree.node_count)
     items = [entry.item for entry in header.entries]
     support: dict[Itemset, int] = {}
     _mine(RankedTree.from_fptree(tree, header), (), items, min_support, support, stats)
-    if stats is not None:
-        stats.freed(tree.node_count)
+    stats.freed(tree.node_count)
     return FrequentItemsets(support, db.n)
 
 

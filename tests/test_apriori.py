@@ -21,7 +21,7 @@ from freqmine.apriori import (
     write_frequent_csv,
 )
 from freqmine.dataset import parse_transactions
-from freqmine.errors import ContractViolationError, ValidationError
+from freqmine.errors import ContractViolationError, CsvParseError, ValidationError
 from freqmine.oracle import brute_force_frequent
 
 DB5_FREQUENT_AT_3 = {
@@ -203,6 +203,16 @@ def test_read_support_csv_rejects_bad_rows():
         read_support_csv("justone\n")
     with pytest.raises(ValidationError):
         read_support_csv("|,3\n")
+
+
+def test_read_support_csv_quoting_error_names_the_line():
+    with pytest.raises(CsvParseError, match="line 2"):
+        read_support_csv('a,3\n"b,2\n')
+
+
+def test_read_support_csv_skips_blank_rows():
+    freq, catalog = read_support_csv("itemset,support\na,3\n,\n\nb,2\n")
+    assert by_labels(freq, catalog) == {("a",): 3, ("b",): 2}
 
 
 def test_frequent_itemsets_equality_ignores_dict_order(db5):

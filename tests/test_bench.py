@@ -88,6 +88,25 @@ def test_generate_synthetic_length_clamped_to_item_count():
     assert all(1 <= len(t) <= 3 for t in db.transactions)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        # mean_len above 500 takes _poisson's normal approximation.
+        SynthParams(3, 1000, 600.0, 1.0, 0),
+        # Heavy skew over a small pool exhausts _sample_distinct's rejection
+        # budget, so the rest of the draw renormalizes over unchosen items.
+        SynthParams(20, 30, 20.0, 40.0, 0),
+    ],
+)
+def test_generate_synthetic_fallback_draws(params):
+    db = generate_synthetic(params)
+    assert db == generate_synthetic(params)
+    assert db.n == params.n_transactions
+    for transaction in db.transactions:
+        assert list(transaction) == sorted(set(transaction))
+        assert 1 <= len(transaction) <= params.n_items
+
+
 def test_generate_synthetic_skew_prefers_low_ranks():
     db = generate_synthetic(SynthParams(1000, 50, 5.0, 1.0, 0))
     freq = [0] * 50

@@ -363,6 +363,74 @@ def test_check_covers_support_csv_route(monkeypatch, capsys):
     assert "support CSV" in capsys.readouterr().err
 
 
+def _drop_one_itemset(mine):
+    def dropping(db, threshold, *rest):
+        freq = mine(db, threshold, *rest)
+        freq.support.pop(max(freq.support, default=None), None)
+        return freq
+
+    return dropping
+
+
+def _drop_last_rule(generate):
+    def dropping(*args, **kwargs):
+        return generate(*args, **kwargs)[:-1]
+
+    return dropping
+
+
+@pytest.mark.parametrize(
+    "name, drop, reason",
+    [
+        ("apriori_mine", _drop_one_itemset, "apriori disagrees with brute force"),
+        ("fpgrowth_mine", _drop_one_itemset, "fpgrowth disagrees with brute force"),
+        ("generate_rules", _drop_last_rule, "generate_rules disagrees with brute-force"),
+    ],
+)
+def test_check_reports_each_disagreement(name, drop, reason, monkeypatch, capsys):
+    import freqmine.cli as cli
+
+    monkeypatch.setattr(cli, name, drop(getattr(cli, name)))
+    assert run_cli(["check", "--cases", "5", "--seed", "1"]) == 3
+    assert reason in capsys.readouterr().err
+
+
+def test_check_shrinks_by_rerunning_only_the_failing_comparison(monkeypatch):
+    import freqmine.cli as cli
+
+    real_read = cli.read_support_csv
+    real_rules = cli.brute_force_rules
+    calls = []
+
+    def read_dropping_last_row(content):
+        lines = content.splitlines(keepends=True)
+        return real_read("".join(lines[:-1]) if len(lines) > 1 else content)
+
+    def counting_rules(*args, **kwargs):
+        calls.append(args)
+        return real_rules(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_support_csv", read_dropping_last_row)
+    monkeypatch.setattr(cli, "brute_force_rules", counting_rules)
+    failure = cli.run_check(0, 5)
+    assert failure is not None and "support CSV" in failure
+    # One recount per passing case before the failing one; shrinking the
+    # support-CSV failure never reaches the rule recount.
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--cases", "abc"],
+        ["mine", "in.csv", "--min-support", "abc"],
+    ],
+)
+def test_non_integer_counts_are_usage_errors(argv, capsys):
+    assert run_cli(argv) == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
 def test_bench_csv_report(capsys):
     code = run_cli(
         [
@@ -438,6 +506,24 @@ def test_bench_rejects_non_numeric_values(capsys):
         ["bench", "--axis", "min_support", "--values", "a,b"]
     )
     assert code == 2
+
+
+def test_bench_values_skip_empty_parts(capsys):
+    argv = ["bench", "--transactions", "20", "--items", "4", "--mean-len", "2"]
+    argv += ["--axis", "min_support", "--reps", "1", "--format", "json"]
+    assert run_cli(argv + ["--values", "2,,3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["values"] == [2, 3]
+    assert run_cli(argv + ["--values", ","]) == 2
+    assert "comma-separated list" in capsys.readouterr().err
+
+
+def test_bench_non_integer_item_count_is_data_error(capsys):
+    code = run_cli(
+        ["bench", "--axis", "n_items", "--values", "4.5", "--min-support", "2"]
+    )
+    assert code == 1
+    assert "n_items must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("reps", ["0", "-1"])

@@ -224,3 +224,25 @@ def test_alias_csv_rejects_single_column_rows():
 def test_alias_csv_skips_blank_lines():
     aliases = parse_alias_csv("\n\nPanic,Anxiety\n\n")
     assert aliases == {"panic": "Anxiety"}
+
+
+def test_alias_csv_quoting_error_names_the_line():
+    with pytest.raises(CsvParseError, match="line 2"):
+        parse_alias_csv('Panic,Anxiety\n"Fear,Intense fear\n')
+
+
+def test_alias_to_blank_label_drops_the_label():
+    aliases = parse_alias_csv("N/A, \n")
+    db = parse_transactions("n/a,b\nN/A\n", aliases)
+    assert db.catalog.labels == ("b",)
+    assert db.transactions == ((0,), ())
+
+
+def test_parse_survey_quoting_error_in_header_names_the_line():
+    with pytest.raises(CsvParseError, match="line 1"):
+        parse_survey('age,"imp"acts\n16,Anxiety\n', SurveySchema())
+
+
+def test_parse_survey_quoting_error_in_data_row_names_the_line():
+    with pytest.raises(CsvParseError, match="line 3"):
+        parse_survey('age,impacts\n16,Anxiety\n20,"Dep"ressions\n', SurveySchema())

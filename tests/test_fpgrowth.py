@@ -10,6 +10,7 @@ from freqmine.apriori import apriori_mine
 from freqmine.dataset import item_frequencies, parse_transactions
 from freqmine.errors import ValidationError
 from freqmine.fpgrowth import (
+    ConditionalPatternBase,
     FPNode,
     FPTree,
     RankedTree,
@@ -19,26 +20,9 @@ from freqmine.fpgrowth import (
     conditional_pattern_base,
     dump_tree,
     fpgrowth_mine,
-    order_transaction,
 )
 
 DB5_TREE_DUMP = "a:4\n  b:3\n    c:2\n  c:1\nb:1\n  c:1\n"
-
-
-def test_order_transaction_db5(db5):
-    counts = item_frequencies(db5)
-    full = db5.transactions[4]  # {a, b, c, d}
-    assert order_transaction(full, counts, 3, db5.catalog) == (0, 1, 2)
-
-
-def test_order_transaction_sorts_by_count_then_label():
-    db = parse_transactions("b\nb\nb\na\na\nc,a,b\n")
-    counts = item_frequencies(db)  # b:4, a:3, c:1
-    assert order_transaction(db.transactions[5], counts, 1, db.catalog) == (
-        db.catalog.lookup("b"),
-        db.catalog.lookup("a"),
-        db.catalog.lookup("c"),
-    )
 
 
 def test_build_fptree_db5_shape(db5):
@@ -50,6 +34,17 @@ def test_build_fptree_db5_shape(db5):
         ("b", 4),
         ("c", 4),
     ]
+
+
+def test_header_ties_break_by_label_not_handle():
+    # c is interned before b, so handle order and label order disagree.
+    db = parse_transactions("c,b\na\nb\nc\n")
+    c, b, a = (db.catalog.lookup(label) for label in "cba")
+    _, header = build_fptree(db, 1)
+    assert [e.item for e in header.entries] == [b, c, a]
+    base = ConditionalPatternBase([((c, b), 2), ((a,), 1)])
+    _, header = build_conditional_tree(base, 1, db.catalog)
+    assert [e.item for e in header.entries] == [b, c, a]
 
 
 def test_header_excludes_infrequent_items(db5):
@@ -176,10 +171,7 @@ def test_header_totals_equal_item_frequencies(case):
 def test_node_count_bounded_by_ordered_volume(case):
     db, threshold = case
     counts = item_frequencies(db)
-    volume = sum(
-        len(order_transaction(t, counts, threshold, db.catalog))
-        for t in db.transactions
-    )
+    volume = sum(counts[item] >= threshold for t in db.transactions for item in t)
     tree, _ = build_fptree(db, threshold)
     assert tree.node_count <= volume
 

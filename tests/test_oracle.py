@@ -67,3 +67,14 @@ def test_brute_force_rules_statuses(db5):
     ruleset = brute_force_rules(db5, params, include_rejected=True)
     assert ruleset and all(rule.status == "Rejected" for rule in ruleset)
     assert brute_force_rules(db5, params) == []
+
+
+@pytest.mark.parametrize("confidence", [0.0, 0.5, 0.75, 2 / 3, 1.0])
+def test_brute_force_rules_float_threshold_matches_generate_rules(confidence):
+    db = parse_transactions("a,b,c\na,b\na,c\nb,c\na,b,c,d\na\nb,c\n")
+    params = MiningParams(2, confidence)
+    freq = apriori_mine(db, 2)
+    for include_rejected in (False, True):
+        assert brute_force_rules(db, params, include_rejected) == generate_rules(
+            freq, db.catalog, confidence, include_rejected
+        )
