@@ -40,7 +40,7 @@ from .dataset import (
 from .errors import MiningError, ValidationError
 from .fpgrowth import fpgrowth_mine
 from .oracle import brute_force_frequent, brute_force_rules
-from .rules import generate_rules, write_rules_csv
+from .rules import ACCEPTED, generate_rules, write_rules_csv
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -177,6 +177,18 @@ def _cmd_rules(args: argparse.Namespace) -> int:
         freq = _mine_db(db, threshold, args.algorithm)
         catalog = db.catalog
     else:
+        for option, value in (
+            ("--min-support", args.min_support),
+            ("--min-support-frac", args.min_support_frac),
+            ("--alias-file", args.alias_file),
+        ):
+            if value is not None:
+                print(
+                    f"error: {option} does not apply to --support-csv, "
+                    "whose itemsets are already mined",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
         freq, catalog = read_support_csv(_read_text(args.support_csv))
     ruleset = generate_rules(freq, catalog, args.min_confidence, args.include_rejected)
     _write_output(write_rules_csv(ruleset, catalog), args.output)
@@ -285,12 +297,22 @@ def _comparisons(
         _support_by_labels(*read_support_csv(table))
         != _support_by_labels(levelwise, db.catalog),
     )
+    recount = brute_force_rules(
+        db, MiningParams(threshold, confidence), include_rejected=True
+    )
     yield (
-        "generate_rules disagrees with brute-force rule recounting",
+        "generate_rules disagrees with brute-force rule recounting "
+        "(rejected rules included)",
         generate_rules(levelwise, db.catalog, confidence, include_rejected=True)
-        != brute_force_rules(
-            db, MiningParams(threshold, confidence), include_rejected=True
-        ),
+        != recount,
+    )
+    # Without rejected rules generate_rules prunes antecedents, so compare
+    # that route too, against the accepted part of the same recount.
+    yield (
+        "generate_rules disagrees with brute-force rule recounting "
+        "(accepted rules only)",
+        generate_rules(levelwise, db.catalog, confidence)
+        != [rule for rule in recount if rule.status == ACCEPTED],
     )
 
 

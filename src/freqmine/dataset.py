@@ -35,12 +35,14 @@ class ItemCatalog:
 
     The display label keeps the first-seen trimmed spelling; lookups go
     through normalize_label, so later spellings differing only in case or
-    whitespace map to the same handle.
+    whitespace map to the same handle. Each raw spelling is normalized once
+    and remembered.
     """
 
     def __init__(self) -> None:
         self._labels: list[str] = []
         self._handles: dict[str, ItemId] = {}
+        self._by_spelling: dict[str, ItemId] = {}
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -55,6 +57,9 @@ class ItemCatalog:
 
     def intern(self, raw: str) -> ItemId:
         """Return the handle for raw, adding it to the catalog if new."""
+        handle = self._by_spelling.get(raw)
+        if handle is not None:
+            return handle
         key = normalize_label(raw)
         if not key:
             raise ValidationError("cannot intern an empty label")
@@ -63,6 +68,7 @@ class ItemCatalog:
             handle = len(self._labels)
             self._labels.append(raw.strip())
             self._handles[key] = handle
+        self._by_spelling[raw] = handle
         return handle
 
     def lookup(self, label: str) -> ItemId | None:

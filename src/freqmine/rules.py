@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -71,45 +72,82 @@ def generate_rules(
 ) -> list[AssociationRule]:
     """All rules s => (l - s) over the stored itemsets, confidence-filtered.
 
-    An itemset of size k yields 2**k - 2 splits before filtering. Every
-    antecedent's support must itself be stored (downward closure); a missing
-    one raises ClosureViolationError. Rules come out itemset by itemset in
-    sorted_itemsets order, the itemset CSV's, and within an itemset by
-    antecedent labels.
+    Each itemset's antecedents are walked level by level, from size k-1 down
+    to 1 (ap-genrules, Agrawal & Srikant 1994). Confidence can only fall as
+    the antecedent shrinks, so a smaller antecedent is examined only when
+    every superset of it within the itemset was kept: accepted, or any split
+    when include_rejected is set.
+
+    The k-1 level is always examined. Its antecedents must be stored with a
+    support at least the itemset's, which, by induction over the itemsets in
+    size order, proves the whole table downward closed. A missing antecedent
+    raises ClosureViolationError and a smaller one ContractViolationError,
+    each naming the first bad split in smallest-antecedent-first order.
+
+    Rules come out itemset by itemset in sorted_itemsets order, the itemset
+    CSV's, and within an itemset by antecedent labels.
     """
     support = freq.support
     out: list[AssociationRule] = []
     for itemset in sorted_itemsets(freq, catalog):
-        if len(itemset) < 2:
+        size = len(itemset)
+        if size < 2:
             continue
         sup_union = support[itemset]
-        kept: list[tuple[Itemset, int, int, float, bool]] = []
-        for take in range(1, len(itemset)):
-            for antecedent in combinations(itemset, take):
+        kept: list[tuple[Itemset, int, bool]] = []
+        level = list(combinations(itemset, size - 1))
+        while level:
+            survivors = []
+            for antecedent in level:
                 sup_antecedent = support.get(antecedent)
-                if sup_antecedent is None:
-                    raise ClosureViolationError(
-                        "no stored support for antecedent "
-                        f"{LABEL_JOINER.join(catalog.labels_of(antecedent))!r}"
-                    )
-                num, den, quotient = rule_confidence(sup_union, sup_antecedent)
-                accepted = meets_confidence(num, den, min_confidence)
+                if sup_antecedent is None or not 1 <= sup_union <= sup_antecedent:
+                    _raise_first_bad_split(itemset, support, catalog)
+                accepted = meets_confidence(sup_union, sup_antecedent, min_confidence)
                 if accepted or include_rejected:
-                    kept.append((antecedent, num, den, quotient, accepted))
+                    kept.append((antecedent, sup_antecedent, accepted))
+                    survivors.append(antecedent)
+            take = len(level[0]) - 1
+            if take == 0:
+                break
+            if len(survivors) == len(level):
+                level = list(combinations(itemset, take))
+            else:
+                # Keep a smaller antecedent only if all size - take of its
+                # supersets one item larger survived.
+                tally = Counter(
+                    smaller for larger in survivors for smaller in combinations(larger, take)
+                )
+                level = [smaller for smaller, count in tally.items() if count == size - take]
         kept.sort(key=lambda split: catalog.labels_of(split[0]))
-        for antecedent, num, den, quotient, accepted in kept:
+        for antecedent, sup_antecedent, accepted in kept:
             out.append(
                 AssociationRule(
                     antecedent,
                     tuple(item for item in itemset if item not in antecedent),
                     sup_union,
-                    num,
-                    den,
-                    quotient,
+                    sup_union,
+                    sup_antecedent,
+                    sup_union / sup_antecedent,
                     ACCEPTED if accepted else REJECTED,
                 )
             )
     return out
+
+
+def _raise_first_bad_split(
+    itemset: Itemset, support: dict[Itemset, int], catalog: ItemCatalog
+) -> None:
+    """Raise for the first unstored or out-of-range antecedent, smallest first."""
+    sup_union = support[itemset]
+    for take in range(1, len(itemset)):
+        for antecedent in combinations(itemset, take):
+            sup_antecedent = support.get(antecedent)
+            if sup_antecedent is None:
+                raise ClosureViolationError(
+                    "no stored support for antecedent "
+                    f"{LABEL_JOINER.join(catalog.labels_of(antecedent))!r}"
+                )
+            rule_confidence(sup_union, sup_antecedent)
 
 
 def write_rules_csv(rules: list[AssociationRule], catalog: ItemCatalog) -> str:

@@ -252,6 +252,31 @@ def test_rules_support_csv_closure_violation(tmp_path, capsys):
     assert "b" in capsys.readouterr().err
 
 
+def test_rules_support_csv_antecedent_below_union_support(tmp_path, capsys):
+    table = tmp_path / "range.csv"
+    table.write_text("a,2\nb,3\nc,3\na|b,3\na|c,3\nb|c,3\na|b|c,3\n", encoding="utf-8")
+    argv = ["rules", "--support-csv", str(table), "--min-confidence", "1"]
+    assert run_cli(argv) == 1
+    assert "confidence counts out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--min-support", "3"],
+        ["--min-support-frac", "0.5"],
+        ["--alias-file", "/nonexistent/aliases.csv"],
+    ],
+)
+def test_rules_support_csv_refuses_mining_options(option, tmp_path, capsys):
+    table = tmp_path / "supports.csv"
+    table.write_text(DB5_FREQ_GOLDEN, encoding="utf-8")
+    argv = ["rules", "--support-csv", str(table), "--min-confidence", "0.5", *option]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert option[0] in captured.err and captured.out == ""
+
+
 def test_rules_support_csv_conflicting_duplicate(tmp_path, capsys):
     table = tmp_path / "dup.csv"
     table.write_text("a,4\na,5\n", encoding="utf-8")

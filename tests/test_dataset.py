@@ -68,6 +68,21 @@ def test_catalog_lookup_and_bounds():
         catalog.intern("   ")
 
 
+def test_repeated_spellings_return_one_handle_and_keep_the_first_label():
+    catalog = ItemCatalog()
+    fears = catalog.intern(" Ongoing Fears")
+    anxiety = catalog.intern("Anxiety")
+    for _ in range(2):
+        assert catalog.intern(" Ongoing Fears") == fears
+        assert catalog.intern("ongoing   FEARS ") == fears
+        assert catalog.intern("ANXIETY") == anxiety
+        assert catalog.intern("Anxiety") == anxiety
+    assert catalog.labels == ("Ongoing Fears", "Anxiety")
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            catalog.intern("   ")
+
+
 def test_normalize_label():
     assert normalize_label("  Ongoing   Fears ") == "ongoing fears"
 

@@ -98,6 +98,19 @@ def test_generate_rules_closure_violation():
     assert "b" in str(exc_info.value)
 
 
+def test_generate_rules_closure_violation_below_failing_splits():
+    # At confidence 1 every split of abc fails, so the walk over abc never
+    # reaches c; the gap must still be found, through a|c.
+    catalog = ItemCatalog()
+    a, b, c = (catalog.intern(label) for label in "abc")
+    freq = FrequentItemsets(
+        {(a, b, c): 2, (a, b): 3, (a, c): 3, (b, c): 3, (a,): 4, (b,): 4}, 4
+    )
+    for include_rejected in (False, True):
+        with pytest.raises(ClosureViolationError, match="'c'"):
+            generate_rules(freq, catalog, 1, include_rejected)
+
+
 def test_generate_rules_ordering():
     db = parse_transactions("x,m,a\nx,m,a\nx,m\nx,a\nm,a\n")
     freq = apriori_mine(db, 2)
@@ -121,6 +134,24 @@ def test_generate_rules_ordering():
 def test_generate_rules_matches_brute_force_in_order(case, confidence):
     """Same rules in the same order as the oracle, on catalogs whose label order
     differs from handle order."""
+    db, threshold = case
+    freq = apriori_mine(db, threshold)
+    params = MiningParams(threshold, confidence)
+    for include_rejected in (False, True):
+        generated = generate_rules(freq, db.catalog, confidence, include_rejected)
+        assert generated == brute_force_rules(db, params, include_rejected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    conftest.dbs_with_threshold(),
+    st.one_of(
+        st.floats(min_value=0, max_value=1),
+        st.fractions(min_value=0, max_value=1, max_denominator=12).map(float),
+    ),
+)
+def test_generate_rules_matches_brute_force_with_float_threshold(case, confidence):
+    """The float acceptance path prunes antecedents exactly as the oracle filters."""
     db, threshold = case
     freq = apriori_mine(db, threshold)
     params = MiningParams(threshold, confidence)
