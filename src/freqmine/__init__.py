@@ -23,7 +23,6 @@ from .bench import (
     TrialMeasurement,
     emit_report,
     generate_synthetic,
-    parse_report,
     run_trial,
     sweep,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "item_frequencies",
     "meets_confidence",
     "parse_alias_csv",
-    "parse_report",
     "parse_survey",
     "parse_transactions",
     "read_support_csv",

@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .dataset import ItemCatalog, ItemId, Itemset, TransactionDb, item_frequencies
-from .errors import ContractViolationError, CsvParseError, ValidationError
+from .dataset import CsvRows, ItemCatalog, ItemId, Itemset, TransactionDb, item_frequencies
+from .errors import ContractViolationError, ValidationError
 
 CandidateSet = set[Itemset]
 
@@ -225,11 +225,7 @@ def read_support_csv(content: str) -> tuple[FrequentItemsets, ItemCatalog]:
     """
     catalog = ItemCatalog()
     support: dict[Itemset, int] = {}
-    reader = csv.reader(io.StringIO(content), strict=True)
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise CsvParseError(f"line {reader.line_num}: {exc}") from exc
+    rows = list(CsvRows(content))
     if rows and tuple(cell.strip().casefold() for cell in rows[0][:2]) in {
         ("itemset", "support"),
         ("itemset", "count"),

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 from .apriori import AprioriStats, apriori_mine
 from .dataset import ItemCatalog, TransactionDb
@@ -192,8 +192,7 @@ def run_trial(db: TransactionDb, min_support: int, algorithm: str) -> TrialMeasu
 class ReportRow:
     """One (axis value, algorithm) aggregate: median wall time over reps.
 
-    The fields, in order, are the report's CSV columns and JSON row keys;
-    parse_report converts each by its annotation.
+    The fields, in order, are the report's CSV columns and JSON row keys.
     """
 
     axis: str
@@ -314,12 +313,6 @@ def sweep(
     return BenchReport(config, rows)
 
 
-def _number_from_text(text: str) -> float | int:
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return int(text)
-
-
 def emit_report(report: BenchReport, fmt: str = "csv") -> str:
     """Render a report as CSV (rows only) or JSON (config echo plus rows)."""
     if fmt == "csv":
@@ -336,36 +329,3 @@ def emit_report(report: BenchReport, fmt: str = "csv") -> str:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     raise ValidationError(f"unknown report format: {fmt!r}")
 
-
-def _rebuild_rows(
-    records: list[dict], number: Callable[[Any], float | int]
-) -> list[ReportRow]:
-    """ReportRows from parsed records, each field converted by its annotation."""
-    convert = {"str": str, "int": int, "float | int": number}
-    return [
-        ReportRow(
-            **{
-                column.name: convert[column.type](record[column.name])
-                for column in fields(ReportRow)
-            }
-        )
-        for record in records
-    ]
-
-
-def parse_report(content: str, fmt: str = "csv") -> BenchReport:
-    """Parse emit_report output back; CSV reports carry an empty config."""
-    if fmt == "csv":
-        lines = list(csv.reader(io.StringIO(content)))
-        if not lines or tuple(lines[0]) != CSV_COLUMNS:
-            raise ValidationError("report CSV is missing its header row")
-        for line in lines[1:]:
-            if len(line) != len(CSV_COLUMNS):
-                raise ValidationError(f"report row has {len(line)} columns")
-        records = [dict(zip(CSV_COLUMNS, line)) for line in lines[1:]]
-        return BenchReport({}, _rebuild_rows(records, _number_from_text))
-    if fmt == "json":
-        payload = json.loads(content)
-        rows = _rebuild_rows(payload["rows"], lambda value: value)
-        return BenchReport(payload.get("config", {}), rows)
-    raise ValidationError(f"unknown report format: {fmt!r}")

@@ -27,7 +27,7 @@ from .apriori import (
     read_support_csv,
     write_frequent_csv,
 )
-from .bench import SynthParams, emit_report, sweep
+from .bench import AXES, SynthParams, emit_report, sweep
 from .dataset import (
     ItemCatalog,
     SurveySchema,
@@ -46,6 +46,8 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE = 2
 EXIT_CHECK_MISMATCH = 3
+
+_ALGORITHMS = ("apriori", "fpgrowth", "bruteforce")
 
 
 def _read_text(path: str) -> str:
@@ -135,7 +137,7 @@ def _resolve_support(args: argparse.Namespace, n: int) -> int:
 
 
 def _load_aliases(args: argparse.Namespace):
-    if getattr(args, "alias_file", None) is None:
+    if args.alias_file is None:
         return None
     return parse_alias_csv(_read_text(args.alias_file))
 
@@ -174,10 +176,11 @@ def _cmd_rules(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         db = parse_transactions(_read_text(args.input), _load_aliases(args))
         threshold = _resolve_support(args, db.n)
-        freq = _mine_db(db, threshold, args.algorithm)
+        freq = _mine_db(db, threshold, args.algorithm or "apriori")
         catalog = db.catalog
     else:
         for option, value in (
+            ("--algorithm", args.algorithm),
             ("--min-support", args.min_support),
             ("--min-support-frac", args.min_support_frac),
             ("--alias-file", args.alias_file),
@@ -390,9 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mine = commands.add_parser("mine", help="mine frequent itemsets from a transaction CSV")
     mine.add_argument("input", help="transaction CSV, one transaction per row")
-    mine.add_argument(
-        "--algorithm", choices=("apriori", "fpgrowth", "bruteforce"), default="apriori"
-    )
+    mine.add_argument("--algorithm", choices=_ALGORITHMS, default="apriori")
     _add_support_options(mine, required=True)
     mine.add_argument("--alias-file", help="raw_label,canonical_label CSV", default=None)
     mine.add_argument("--output", default=None, help="write here instead of stdout")
@@ -418,7 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also emit rules below the confidence threshold",
     )
     rules.add_argument(
-        "--algorithm", choices=("apriori", "fpgrowth", "bruteforce"), default="apriori"
+        "--algorithm", choices=_ALGORITHMS, default=None,
+        help="miner for a transaction CSV (default: apriori)",
     )
     _add_support_options(rules, required=False)
     rules.add_argument("--alias-file", default=None)
@@ -454,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mean-len", type=float, default=5.0)
     bench.add_argument("--skew", type=float, default=1.0)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--axis", choices=("min_support", "n_transactions", "mean_len", "n_items"), required=True)
+    bench.add_argument("--axis", choices=AXES, required=True)
     bench.add_argument(
         "--values", type=_axis_values, required=True,
         help="comma-separated axis values, e.g. 200,400,800",

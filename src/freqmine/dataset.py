@@ -13,6 +13,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import CsvParseError, SchemaError, ValidationError
 
@@ -30,19 +31,28 @@ def normalize_label(raw: str) -> str:
     return _WS_RUN.sub(" ", raw.strip()).casefold()
 
 
+AliasMap = dict[str, str]
+
+# What ItemCatalog.resolve returns for a label that is blank or aliases to blank.
+DROPPED: ItemId = -1
+
+
 class ItemCatalog:
     """Interned item labels with dense integer handles.
 
     The display label keeps the first-seen trimmed spelling; lookups go
     through normalize_label, so later spellings differing only in case or
-    whitespace map to the same handle. Each raw spelling is normalized once
-    and remembered.
+    whitespace map to the same handle. The catalog's aliases, keyed by
+    normalized raw label, are applied to each spelling before interning,
+    once and without chaining. Each raw spelling is normalized once and its
+    outcome remembered.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, aliases: AliasMap | None = None) -> None:
         self._labels: list[str] = []
         self._handles: dict[str, ItemId] = {}
         self._by_spelling: dict[str, ItemId] = {}
+        self._aliases = aliases or {}
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -55,20 +65,32 @@ class ItemCatalog:
     def __repr__(self) -> str:
         return f"ItemCatalog({len(self._labels)} items)"
 
-    def intern(self, raw: str) -> ItemId:
-        """Return the handle for raw, adding it to the catalog if new."""
+    def resolve(self, raw: str) -> ItemId:
+        """Handle for raw after its alias, adding it if new; DROPPED if either is blank."""
         handle = self._by_spelling.get(raw)
-        if handle is not None:
-            return handle
-        key = normalize_label(raw)
+        if handle is None:
+            handle = self._by_spelling[raw] = self._add(raw)
+        return handle
+
+    def _add(self, raw: str) -> ItemId:
+        label = raw
+        key = normalize_label(label)
+        if key and key in self._aliases:
+            label = self._aliases[key]
+            key = normalize_label(label)
         if not key:
-            raise ValidationError("cannot intern an empty label")
+            return DROPPED
         handle = self._handles.get(key)
         if handle is None:
-            handle = len(self._labels)
-            self._labels.append(raw.strip())
-            self._handles[key] = handle
-        self._by_spelling[raw] = handle
+            handle = self._handles[key] = len(self._labels)
+            self._labels.append(label.strip())
+        return handle
+
+    def intern(self, raw: str) -> ItemId:
+        """Return the handle for raw, adding it to the catalog if new."""
+        handle = self.resolve(raw)
+        if handle == DROPPED:
+            raise ValidationError("cannot intern an empty label")
         return handle
 
     def lookup(self, label: str) -> ItemId | None:
@@ -103,7 +125,22 @@ class TransactionDb:
         return len(self.transactions)
 
 
-AliasMap = dict[str, str]
+class CsvRows:
+    """Rows of CSV text; a quoting error raises CsvParseError naming its line."""
+
+    def __init__(self, content: str) -> None:
+        self._reader = csv.reader(io.StringIO(content), strict=True)
+
+    @property
+    def line_num(self) -> int:
+        """Physical line on which the last row read ended."""
+        return self._reader.line_num
+
+    def __iter__(self) -> Iterator[list[str]]:
+        try:
+            yield from self._reader
+        except csv.Error as exc:
+            raise CsvParseError(f"line {self.line_num}: {exc}") from exc
 
 
 def parse_alias_csv(content: str) -> AliasMap:
@@ -113,39 +150,22 @@ def parse_alias_csv(content: str) -> AliasMap:
     two fields raises ValidationError.
     """
     aliases: AliasMap = {}
-    reader = csv.reader(io.StringIO(content), strict=True)
-    try:
-        for row in reader:
-            if not any(field.strip() for field in row):
-                continue
-            if len(row) < 2:
-                raise ValidationError(
-                    f"alias line {reader.line_num}: expected raw_label,canonical_label"
-                )
-            aliases[normalize_label(row[0])] = row[1].strip()
-    except csv.Error as exc:
-        raise CsvParseError(f"line {reader.line_num}: {exc}") from exc
+    rows = CsvRows(content)
+    for row in rows:
+        if not any(field.strip() for field in row):
+            continue
+        if len(row) < 2:
+            raise ValidationError(
+                f"alias line {rows.line_num}: expected raw_label,canonical_label"
+            )
+        aliases[normalize_label(row[0])] = row[1].strip()
     return aliases
 
 
-def _resolve_alias(raw: str, aliases: AliasMap | None) -> str:
-    if aliases is None:
-        return raw
-    return aliases.get(normalize_label(raw), raw)
-
-
-def _intern_labels(
-    catalog: ItemCatalog, raw_labels: list[str], aliases: AliasMap | None
-) -> Itemset:
-    """Alias, intern, dedupe, and sort one row's worth of labels; blanks dropped."""
-    seen: set[ItemId] = set()
-    for raw in raw_labels:
-        if not raw.strip():
-            continue
-        resolved = _resolve_alias(raw, aliases)
-        if not resolved.strip():
-            continue
-        seen.add(catalog.intern(resolved))
+def _intern_labels(catalog: ItemCatalog, raw_labels: list[str]) -> Itemset:
+    """Resolve, dedupe, and sort one row's worth of labels; dropped ones left out."""
+    seen = set(map(catalog.resolve, raw_labels))
+    seen.discard(DROPPED)
     return tuple(sorted(seen))
 
 
@@ -157,14 +177,8 @@ def parse_transactions(content: str, aliases: AliasMap | None = None) -> Transac
     empty row becomes an empty transaction and still counts toward n. Quoting
     errors raise CsvParseError with the offending line number.
     """
-    catalog = ItemCatalog()
-    transactions: list[Itemset] = []
-    reader = csv.reader(io.StringIO(content), strict=True)
-    try:
-        for row in reader:
-            transactions.append(_intern_labels(catalog, row, aliases))
-    except csv.Error as exc:
-        raise CsvParseError(f"line {reader.line_num}: {exc}") from exc
+    catalog = ItemCatalog(aliases)
+    transactions = [_intern_labels(catalog, row) for row in CsvRows(content)]
     return TransactionDb(catalog, tuple(transactions))
 
 
@@ -230,11 +244,12 @@ class SurveySchema:
             )
 
 
-def _parse_age(cell: str, schema: SurveySchema) -> int | None:
+def _parse_age(cell: str, missing_key: str) -> int | None:
+    """Age in years, or None for a blank cell or one matching the normalized marker."""
     text = cell.strip()
     if not text:
         return None
-    if normalize_label(text) == normalize_label(schema.missing_age_label):
+    if normalize_label(text) == missing_key:
         return None
     try:
         return int(text)
@@ -253,11 +268,8 @@ def parse_survey(
     Missing or marker-valued ages recode to the missing-age bucket; a
     non-integer age raises ValidationError, as does a negative one.
     """
-    reader = csv.reader(io.StringIO(content), strict=True)
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise CsvParseError(f"line {reader.line_num}: {exc}") from exc
+    rows = iter(CsvRows(content))
+    header = next(rows, None)
     if header is None:
         raise SchemaError("survey file has no header row")
     positions = {name.strip(): index for index, name in enumerate(header)}
@@ -267,16 +279,14 @@ def parse_survey(
     age_at = positions[schema.age_column]
     impact_at = positions[schema.impact_column]
 
-    catalog = ItemCatalog()
+    missing_key = normalize_label(schema.missing_age_label)
+    catalog = ItemCatalog(aliases)
     transactions: list[Itemset] = []
-    try:
-        for row in reader:
-            age_cell = row[age_at] if age_at < len(row) else ""
-            impact_cell = row[impact_at] if impact_at < len(row) else ""
-            age = _parse_age(age_cell, schema)
-            labels = [bucket_age(age, schema.missing_age_label)]
-            labels.extend(impact_cell.split(schema.multiselect_delimiter))
-            transactions.append(_intern_labels(catalog, labels, aliases))
-    except csv.Error as exc:
-        raise CsvParseError(f"line {reader.line_num}: {exc}") from exc
+    for row in rows:
+        age_cell = row[age_at] if age_at < len(row) else ""
+        impact_cell = row[impact_at] if impact_at < len(row) else ""
+        age = _parse_age(age_cell, missing_key)
+        labels = [bucket_age(age, schema.missing_age_label)]
+        labels.extend(impact_cell.split(schema.multiselect_delimiter))
+        transactions.append(_intern_labels(catalog, labels))
     return TransactionDb(catalog, tuple(transactions))

@@ -14,7 +14,6 @@ from freqmine.bench import (
     TrialMeasurement,
     emit_report,
     generate_synthetic,
-    parse_report,
     run_trial,
     summarize,
     sweep,
@@ -282,36 +281,9 @@ def test_emit_csv_header_is_pinned():
     assert tuple(text.rstrip("\n").split(",")) == CSV_COLUMNS
 
 
-def test_report_round_trips():
-    report = sweep(BASE, "min_support", [3, 6], repetitions=2)
-    via_csv = parse_report(emit_report(report, "csv"), "csv")
-    assert via_csv.rows == report.rows
-    assert via_csv.config == {}  # the CSV body carries rows only
-    via_json = parse_report(emit_report(report, "json"), "json")
-    assert via_json == report
-
-
-def test_report_json_empty_rows():
-    report = BenchReport({"axis": "min_support"}, [])
-    assert parse_report(emit_report(report, "json"), "json") == report
-
-
 def test_report_rejects_unknown_format():
     with pytest.raises(ValidationError):
         emit_report(BenchReport({}, []), "xml")
-    with pytest.raises(ValidationError):
-        parse_report("", "xml")
-
-
-def test_parse_report_requires_header():
-    with pytest.raises(ValidationError, match="header"):
-        parse_report("nonsense\n", "csv")
-
-
-def test_parse_report_rejects_short_rows():
-    text = emit_report(BenchReport({}, []), "csv") + "min_support,3,apriori\n"
-    with pytest.raises(ValidationError, match="columns"):
-        parse_report(text, "csv")
 
 
 def test_single_trial_report_row_for_known_db(db5):
@@ -336,6 +308,22 @@ def test_report_non_timing_output_is_pinned(db5):
         list(CSV_COLUMNS),
         ["min_support", "3", "apriori", "1", "*", "256", "6", "8"],
         ["min_support", "3", "fpgrowth", "1", "*", "1440", "6", "10"],
+    ]
+    json_rows = json.loads(emit_report(BenchReport({}, rows), "json"))["rows"]
+    for record in json_rows:
+        assert set(record) == set(CSV_COLUMNS)
+        assert isinstance(record.pop("wall_ns_median"), int)
+    assert json_rows == [
+        {
+            "axis": "min_support",
+            "axis_value": 3,
+            "algorithm": algorithm,
+            "rep_count": 1,
+            "mem_proxy_bytes": mem,
+            "n_frequent": 6,
+            "work_counter": work,
+        }
+        for algorithm, mem, work in ((APRIORI, 256, 8), (FPGROWTH, 1440, 10))
     ]
 
 

@@ -1,12 +1,13 @@
 """End-to-end command-line behavior: outputs, exit codes, error reporting."""
 
+import csv
+import io
 import json
 
 import pytest
 
 from conftest import DATA_DIR, DB5_TEXT
 
-from freqmine.bench import parse_report
 from freqmine.cli import run_cli
 
 DB5_FREQ_GOLDEN = "itemset,support\na,4\nb,4\nc,4\na|b,3\na|c,3\nb|c,3\n"
@@ -266,6 +267,7 @@ def test_rules_support_csv_antecedent_below_union_support(tmp_path, capsys):
         ["--min-support", "3"],
         ["--min-support-frac", "0.5"],
         ["--alias-file", "/nonexistent/aliases.csv"],
+        ["--algorithm", "fpgrowth"],
     ],
 )
 def test_rules_support_csv_refuses_mining_options(option, tmp_path, capsys):
@@ -477,11 +479,11 @@ def test_bench_csv_report(capsys):
         ]
     )
     assert code == 0
-    report = parse_report(capsys.readouterr().out, "csv")
-    assert [row.axis_value for row in report.rows] == [2, 2, 3, 3]
-    assert {row.algorithm for row in report.rows} == {"apriori", "fpgrowth"}
-    for value in (2, 3):
-        counts = {r.n_frequent for r in report.rows if r.axis_value == value}
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["axis_value"] for row in rows] == ["2", "2", "3", "3"]
+    assert {row["algorithm"] for row in rows} == {"apriori", "fpgrowth"}
+    for value in ("2", "3"):
+        counts = {r["n_frequent"] for r in rows if r["axis_value"] == value}
         assert len(counts) == 1
 
 

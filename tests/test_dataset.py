@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import conftest
+from freqmine import dataset
 from freqmine.dataset import (
     ItemCatalog,
     SurveySchema,
@@ -251,6 +252,50 @@ def test_alias_to_blank_label_drops_the_label():
     db = parse_transactions("n/a,b\nN/A\n", aliases)
     assert db.catalog.labels == ("b",)
     assert db.transactions == ((0,), ())
+
+
+def test_alias_with_blank_raw_label_leaves_blank_cells_dropped():
+    aliases = parse_alias_csv(",Anxiety\n")
+    db = parse_transactions("a,, \n,\n", aliases)
+    assert db.catalog.labels == ("a",)
+    assert db.transactions == ((0,), ())
+
+
+def test_aliases_do_not_chain():
+    aliases = parse_alias_csv("a,b\nb,c\n")
+    db = parse_transactions("a\nb\n", aliases)
+    assert db.catalog.labels == ("b", "c")
+    assert db.transactions == ((0,), (1,))
+
+
+def test_parse_without_aliases_does_not_inherit_aliases():
+    parse_transactions("Panic\n", parse_alias_csv("Panic,Anxiety\n"))
+    db = parse_transactions("Panic\n")
+    assert db.catalog.labels == ("Panic",)
+
+
+def test_alias_error_after_multiline_field_names_the_physical_line():
+    content = 'Panic,"Anxiety\nand fear"\nlonely\n'
+    with pytest.raises(ValidationError, match="alias line 3"):
+        parse_alias_csv(content)
+
+
+def test_survey_with_aliases_normalizes_each_spelling_once(monkeypatch):
+    aliases = parse_alias_csv("Panic attacks,Anxiety\nFear (intense),Intense fear\n")
+    calls = []
+
+    def counting(raw):
+        calls.append(raw)
+        return normalize_label(raw)
+
+    monkeypatch.setattr(dataset, "normalize_label", counting)
+    # Age cells are still normalized row by row, so these rows leave the age blank.
+    spellings = ("Panic attacks", "Anxiety;Fear (intense)", "panic  ATTACKS;", "Depressions")
+    rows = [f",{spellings[index % len(spellings)]}" for index in range(1000)]
+    db = parse_survey("age,impacts\n" + "\n".join(rows) + "\n", SurveySchema(), aliases)
+    assert db.n == 1000
+    assert db.catalog.labels == ("Don't remember", "Anxiety", "Intense fear", "Depressions")
+    assert len(calls) <= 20
 
 
 def test_parse_survey_quoting_error_in_header_names_the_line():
