@@ -47,7 +47,6 @@ from .errors import (
 )
 from .fpgrowth import (
     FPTree,
-    HeaderTable,
     TreeStats,
     build_conditional_tree,
     build_fptree,
@@ -77,7 +76,6 @@ __all__ = [
     "CsvParseError",
     "FPTree",
     "FrequentItemsets",
-    "HeaderTable",
     "ItemCatalog",
     "MiningError",
     "MiningParams",

@@ -159,10 +159,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_rules(args: argparse.Namespace) -> int:
-    sources = [s for s in (args.input, args.support_csv) if s is not None]
-    if len(sources) != 1:
+    if (args.input is None) == (args.support_csv is None):
+        given = "neither was given" if args.input is None else "not both"
         print(
-            "error: give either a transaction CSV or --support-csv, not both",
+            f"error: give either a transaction CSV or --support-csv, {given}",
             file=sys.stderr,
         )
         return EXIT_USAGE

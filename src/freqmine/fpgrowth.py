@@ -1,20 +1,22 @@
-"""FP-Growth mining over a prefix tree with per-item node-link chains.
+"""FP-Growth mining over a prefix tree held as parallel lists.
 
 Transactions are rewritten in descending item-frequency order (label order
-breaks ties) so shared prefixes share nodes. Mining copies the tree once into
-parallel lists keyed by header rank, then walks the ranks from the least
-frequent upward. Each rank's conditional tree is projected from the shared
-ancestors of its nodes: every ancestor is reached once, its count summed
-bottom-up once, and the infrequent items dropped as the tree is built.
-conditional_pattern_base and build_conditional_tree remain the path-by-path
-reference route and give the same trees. Output matches the levelwise miner
-exactly.
+breaks ties) so shared prefixes share nodes. Every tree is held as parallel
+parents/items/counts lists plus one chain of node indices per header item;
+the header is a dict from item to total. Mining relabels the top-level tree
+by header rank, then walks the ranks from the least frequent upward. Each
+rank's conditional tree is projected from the shared ancestors of its nodes:
+every ancestor is reached once, its count summed bottom-up once, and the
+infrequent items dropped as the tree is built. conditional_pattern_base and
+build_conditional_tree remain the path-by-path reference route and give the
+same trees. Output matches the levelwise miner exactly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .apriori import FrequentItemsets
 from .dataset import ItemCatalog, ItemId, Itemset, TransactionDb, item_frequencies
@@ -24,64 +26,31 @@ from .errors import ValidationError
 ROOT_ITEM: ItemId = -1
 
 # Fixed memory model, so memory proxies compare across platforms: every tree
-# node costs one object footprint. An accounting constant, not a claim about
-# the interpreter's real allocations.
+# node is charged the same number of bytes. An accounting constant, not a
+# claim about the interpreter's real allocations.
 TREE_NODE_BYTES = 160
 
 
-class FPNode:
-    """One prefix-tree node; next_same_item threads the per-item chain."""
-
-    __slots__ = ("item", "count", "parent", "children", "next_same_item")
-
-    def __init__(self, item: ItemId, parent: "FPNode | None") -> None:
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict[ItemId, FPNode] = {}
-        self.next_same_item: FPNode | None = None
-
-    def __repr__(self) -> str:
-        return f"FPNode(item={self.item}, count={self.count})"
-
-
-@dataclass
-class HeaderEntry:
-    """Header-table row: an item, its total support, and its chain head."""
-
-    item: ItemId
-    total: int
-    head: FPNode
-
-
-class HeaderTable:
-    """Per-item index ordered by descending total, ties by ascending label."""
-
-    def __init__(self, entries: list[HeaderEntry]) -> None:
-        self.entries = entries
-        self._by_item = {entry.item: entry for entry in entries}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[HeaderEntry]:
-        return iter(self.entries)
-
-    def __contains__(self, item: ItemId) -> bool:
-        return item in self._by_item
-
-    def entry(self, item: ItemId) -> HeaderEntry:
-        """Entry for an item; unknown items raise KeyError."""
-        return self._by_item[item]
-
-
 class FPTree:
-    """Prefix tree of frequency-ordered transactions."""
+    """A prefix tree held as parallel lists, in item space.
 
-    def __init__(self, catalog: ItemCatalog) -> None:
+    Node 0 is the root. Every node's parent has a smaller index, and the
+    top-level tree numbers its nodes depth-first. chains maps each header
+    item, in header order, to its nodes in ascending index order.
+    """
+
+    __slots__ = ("catalog", "parents", "items", "counts", "chains")
+
+    def __init__(self, catalog: ItemCatalog, header: Iterable[ItemId]) -> None:
         self.catalog = catalog
-        self.root = FPNode(ROOT_ITEM, None)
-        self.node_count = 0
+        self.parents = [0]
+        self.items = [ROOT_ITEM]
+        self.counts = [0]
+        self.chains: dict[ItemId, list[int]] = {item: [] for item in header}
+
+    @property
+    def node_count(self) -> int:
+        return len(self.parents) - 1
 
 
 @dataclass
@@ -135,89 +104,87 @@ def _frequent_order(
     return order
 
 
-def _insert(
-    tree: FPTree,
-    sequence: Sequence[ItemId],
-    count: int,
-    heads: dict[ItemId, FPNode],
-    tails: dict[ItemId, FPNode],
-) -> None:
-    """Add one ordered sequence with a count, extending chains at the tail."""
-    node = tree.root
-    created = 0
-    for item in sequence:
-        children = node.children
-        child = children.get(item)
-        if child is None:
-            child = FPNode(item, node)
-            children[item] = child
-            created += 1
-            tail = tails.get(item)
-            if tail is None:
-                heads[item] = child
+def _build(
+    catalog: ItemCatalog,
+    header: dict[ItemId, int],
+    paths: Iterable[tuple[Sequence[ItemId], int]],
+) -> FPTree:
+    """Insert each (path, count) pair in turn, merging shared prefixes."""
+    tree = FPTree(catalog, header)
+    parents, items, counts, chains = tree.parents, tree.items, tree.counts, tree.chains
+    width = len(catalog)
+    # Item handles are below width, so the key names one (parent, item) pair.
+    children: dict[int, int] = {}
+    for path, count in paths:
+        node = 0
+        for item in path:
+            key = node * width + item
+            child = children.get(key)
+            if child is None:
+                child = children[key] = len(parents)
+                parents.append(node)
+                items.append(item)
+                counts.append(count)
+                chains[item].append(child)
             else:
-                tail.next_same_item = child
-            tails[item] = child
-        child.count += count
-        node = child
-    tree.node_count += created
+                counts[child] += count
+            node = child
+    return tree
 
 
-def build_fptree(db: TransactionDb, min_support: int) -> tuple[FPTree, HeaderTable]:
+def build_fptree(db: TransactionDb, min_support: int) -> tuple[FPTree, dict[ItemId, int]]:
     """Two-pass construction: count items, then insert each ordered transaction.
 
-    The header table contains exactly the items with support >= min_support;
-    every frequent item appears in at least one transaction, so every header
-    entry has a chain.
+    The header maps exactly the items with support >= min_support to their
+    totals, in header order; every frequent item appears in at least one
+    transaction, so every header item has a chain. Equal transactions are
+    inserted once with their multiplicity, in ascending order of their rank
+    tuples, which numbers the nodes depth-first.
     """
     if min_support < 1:
         raise ValidationError(f"min_support must be >= 1, got {min_support}")
-    counts = item_frequencies(db)
-    # Ranks encode the header order once so per-transaction sorting stays cheap.
-    order = _frequent_order(counts, min_support, db.catalog)
+    totals = item_frequencies(db)
+    order = _frequent_order(totals, min_support, db.catalog)
     rank = {item: position for position, item in enumerate(order)}
-    rank_of = rank.__getitem__
-    tree = FPTree(db.catalog)
-    heads: dict[ItemId, FPNode] = {}
-    tails: dict[ItemId, FPNode] = {}
-    for transaction in db.transactions:
-        sequence = [item for item in transaction if item in rank]
-        if sequence:
-            sequence.sort(key=rank_of)
-            _insert(tree, sequence, 1, heads, tails)
-    return tree, HeaderTable([HeaderEntry(item, counts[item], heads[item]) for item in order])
+    folded = Counter(
+        tuple(sorted([rank[item] for item in transaction if item in rank]))
+        for transaction in db.transactions
+    )
+    del folded[()]
+    header = {item: totals[item] for item in order}
+    paths = (([order[r] for r in ranks], count) for ranks, count in sorted(folded.items()))
+    return _build(db.catalog, header, paths), header
 
 
 def conditional_pattern_base(
-    tree: FPTree, header: HeaderTable, item: ItemId
+    tree: FPTree, header: Mapping[ItemId, int], item: ItemId
 ) -> ConditionalPatternBase:
     """Every root-to-parent path above the item's nodes, with the node counts.
 
     Paths follow the chain order; a node directly under the root contributes
     an empty path whose count still participates in conditional totals.
-    Unknown items raise KeyError via the header lookup.
+    Items outside the header raise KeyError.
     """
-    entry = header.entry(item)
+    if item not in header:
+        raise KeyError(item)
+    parents, items, counts = tree.parents, tree.items, tree.counts
     base = ConditionalPatternBase()
     paths_append = base.paths.append
-    root = tree.root
-    node: FPNode | None = entry.head
-    while node is not None:
+    for node in tree.chains[item]:
         prefix: list[ItemId] = []
         prefix_append = prefix.append
-        above = node.parent
-        while above is not root:
-            prefix_append(above.item)
-            above = above.parent
+        above = parents[node]
+        while above:
+            prefix_append(items[above])
+            above = parents[above]
         prefix.reverse()
-        paths_append((tuple(prefix), node.count))
-        node = node.next_same_item
+        paths_append((tuple(prefix), counts[node]))
     return base
 
 
 def build_conditional_tree(
     base: ConditionalPatternBase, min_support: int, catalog: ItemCatalog
-) -> tuple[FPTree, HeaderTable]:
+) -> tuple[FPTree, dict[ItemId, int]]:
     """Re-insert the base's paths weighted by their counts, filtered by total.
 
     Items whose summed path counts fall below min_support are dropped before
@@ -229,18 +196,13 @@ def build_conditional_tree(
     for path, count in base.paths:
         for item in path:
             totals[item] = totals_get(item, 0) + count
-    order = _frequent_order(totals, min_support, catalog)
-    kept = set(order)
-    tree = FPTree(catalog)
-    heads: dict[ItemId, FPNode] = {}
-    tails: dict[ItemId, FPNode] = {}
-    for path, count in base.paths:
-        _insert(tree, [item for item in path if item in kept], count, heads, tails)
-    return tree, HeaderTable([HeaderEntry(item, totals[item], heads[item]) for item in order])
+    header = {item: totals[item] for item in _frequent_order(totals, min_support, catalog)}
+    paths = [([item for item in path if item in header], count) for path, count in base.paths]
+    return _build(catalog, header, paths), header
 
 
 class RankedTree:
-    """An FP-tree held as parallel lists, with items replaced by header rank.
+    """An FPTree's layout with items replaced by header rank.
 
     Rank r is the item at position r of the top-level header, and conditional
     trees keep those ranks, so paths stay in ascending rank order at every
@@ -264,20 +226,15 @@ class RankedTree:
         return len(self.parents) - 1
 
     @classmethod
-    def from_fptree(cls, tree: FPTree, header: HeaderTable) -> RankedTree:
-        """Copy a tree, numbering items by their position in the header."""
-        rank = {entry.item: position for position, entry in enumerate(header.entries)}
-        ranked = cls([entry.total for entry in header.entries])
-        pending = [(tree.root, 0)]
-        while pending:
-            node, index = pending.pop()
-            for child in node.children.values():
-                child_rank = rank[child.item]
-                ranked.chains[child_rank].append(len(ranked.parents))
-                pending.append((child, len(ranked.parents)))
-                ranked.parents.append(index)
-                ranked.ranks.append(child_rank)
-                ranked.counts.append(child.count)
+    def from_fptree(cls, tree: FPTree, header: Mapping[ItemId, int]) -> RankedTree:
+        """Relabel a tree's items by their position in the header."""
+        rank = {item: position for position, item in enumerate(header)}
+        rank[ROOT_ITEM] = ROOT_ITEM
+        ranked = cls(list(header.values()))
+        ranked.parents = tree.parents.copy()
+        ranked.ranks = list(map(rank.__getitem__, tree.items))
+        ranked.counts = tree.counts.copy()
+        ranked.chains = [tree.chains[item].copy() for item in header]
         return ranked
 
     def project(self, rank: int, min_support: int) -> RankedTree:
@@ -386,25 +343,29 @@ def fpgrowth_mine(
     if stats is None:
         stats = TreeStats()
     tree, header = build_fptree(db, min_support)
-    stats.created(tree.node_count)
-    items = [entry.item for entry in header.entries]
+    created = tree.node_count
+    stats.created(created)
+    ranked = RankedTree.from_fptree(tree, header)
+    del tree  # mining reads only the ranked copy
     support: dict[Itemset, int] = {}
-    _mine(RankedTree.from_fptree(tree, header), (), items, min_support, support, stats)
-    stats.freed(tree.node_count)
+    _mine(ranked, (), list(header), min_support, support, stats)
+    stats.freed(created)
     return FrequentItemsets(support, db.n)
 
 
 def dump_tree(tree: FPTree) -> str:
     """Indented label:count rendering, children sorted by display label."""
+    label, items, counts = tree.catalog.label, tree.items, tree.counts
+    children: list[list[int]] = [[] for _ in tree.parents]
+    for node in range(1, len(tree.parents)):
+        children[tree.parents[node]].append(node)
+    # An explicit stack, so a path longer than the recursion limit renders too.
+    pending = [(0, -1)]
     lines: list[str] = []
-
-    def walk(node: FPNode, depth: int) -> None:
-        children = sorted(
-            node.children.values(), key=lambda child: tree.catalog.label(child.item)
-        )
-        for child in children:
-            lines.append("  " * depth + f"{tree.catalog.label(child.item)}:{child.count}")
-            walk(child, depth + 1)
-
-    walk(tree.root, 0)
+    while pending:
+        node, depth = pending.pop()
+        if node:
+            lines.append("  " * depth + f"{label(items[node])}:{counts[node]}")
+        below = sorted(children[node], key=lambda child: label(items[child]), reverse=True)
+        pending.extend((child, depth + 1) for child in below)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -223,6 +223,12 @@ def test_rules_refuses_two_sources(db5_file, tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+def test_rules_names_the_missing_source(capsys):
+    assert run_cli(["rules", "--min-confidence", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "neither was given" in err and "not both" not in err
+
+
 def test_rules_from_transactions_needs_threshold(db5_file, capsys):
     assert run_cli(["rules", db5_file, "--min-confidence", "0.5"]) == 2
     assert "min-support" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,8 +12,8 @@ from freqmine.apriori import apriori_mine
 from freqmine.dataset import item_frequencies, parse_transactions
 from freqmine.errors import ValidationError
 from freqmine.fpgrowth import (
+    ROOT_ITEM,
     ConditionalPatternBase,
-    FPNode,
     FPTree,
     RankedTree,
     TreeStats,
@@ -29,7 +31,7 @@ def test_build_fptree_db5_shape(db5):
     tree, header = build_fptree(db5, 3)
     assert tree.node_count == 6
     assert dump_tree(tree) == DB5_TREE_DUMP
-    assert [(db5.catalog.label(e.item), e.total) for e in header.entries] == [
+    assert [(db5.catalog.label(item), total) for item, total in header.items()] == [
         ("a", 4),
         ("b", 4),
         ("c", 4),
@@ -41,10 +43,10 @@ def test_header_ties_break_by_label_not_handle():
     db = parse_transactions("c,b\na\nb\nc\n")
     c, b, a = (db.catalog.lookup(label) for label in "cba")
     _, header = build_fptree(db, 1)
-    assert [e.item for e in header.entries] == [b, c, a]
+    assert list(header) == [b, c, a]
     base = ConditionalPatternBase([((c, b), 2), ((a,), 1)])
     _, header = build_conditional_tree(base, 1, db.catalog)
-    assert [e.item for e in header.entries] == [b, c, a]
+    assert list(header) == [b, c, a]
 
 
 def test_header_excludes_infrequent_items(db5):
@@ -55,7 +57,7 @@ def test_header_excludes_infrequent_items(db5):
 def test_header_order_descending_support():
     db = parse_transactions("a\na\na\nb\nb\nc,b\n")
     _, header = build_fptree(db, 1)
-    assert [(db.catalog.label(e.item), e.total) for e in header.entries] == [
+    assert [(db.catalog.label(item), total) for item, total in header.items()] == [
         ("a", 3),
         ("b", 3),
         ("c", 1),
@@ -63,15 +65,13 @@ def test_header_order_descending_support():
 
 
 def test_chain_counts_sum_to_header_total(db5):
-    _, header = build_fptree(db5, 1)
-    for entry in header.entries:
-        total = 0
-        node = entry.head
-        while node is not None:
-            assert node.item == entry.item
-            total += node.count
-            node = node.next_same_item
-        assert total == entry.total
+    tree, header = build_fptree(db5, 1)
+    assert list(tree.chains) == list(header)
+    for item, total in header.items():
+        chain = tree.chains[item]
+        assert chain == sorted(chain)
+        assert all(tree.items[node] == item for node in chain)
+        assert sum(tree.counts[node] for node in chain) == total
 
 
 def test_conditional_pattern_base_db5_golden(db5):
@@ -101,7 +101,7 @@ def test_build_conditional_tree_db5_c(db5):
     subtree, subheader = build_conditional_tree(base, 3, db5.catalog)
     assert subtree.node_count == 3
     assert dump_tree(subtree) == "a:3\n  b:2\nb:1\n"
-    assert [(db5.catalog.label(e.item), e.total) for e in subheader.entries] == [
+    assert [(db5.catalog.label(item), total) for item, total in subheader.items()] == [
         ("a", 3),
         ("b", 3),
     ]
@@ -149,6 +149,14 @@ def test_dump_tree_empty():
     assert dump_tree(tree) == ""
 
 
+def test_dump_tree_renders_a_path_deeper_than_the_recursion_limit():
+    labels = [f"i{k:04d}" for k in range(sys.getrecursionlimit() + 10)]
+    tree, _ = build_fptree(parse_transactions(",".join(labels) + "\n"), 1)
+    lines = dump_tree(tree).splitlines()
+    assert len(lines) == len(labels)
+    assert lines[-1] == "  " * (len(labels) - 1) + f"{labels[-1]}:1"
+
+
 @settings(max_examples=100, deadline=None)
 @given(conftest.dbs_with_threshold())
 def test_fpgrowth_matches_apriori(case):
@@ -163,7 +171,7 @@ def test_header_totals_equal_item_frequencies(case):
     counts = item_frequencies(db)
     _, header = build_fptree(db, threshold)
     expected = {i: c for i, c in counts.items() if c >= threshold}
-    assert {e.item: e.total for e in header.entries} == expected
+    assert header == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,6 +186,37 @@ def test_node_count_bounded_by_ordered_volume(case):
 
 @settings(max_examples=60, deadline=None)
 @given(conftest.dbs_with_threshold())
+def test_build_fptree_matches_unit_count_pattern_base(case):
+    """Folding equal transactions builds the tree that inserting each one does."""
+    db, threshold = case
+    counts = item_frequencies(db)
+    paths = [
+        (tuple(sorted(t, key=lambda item: (-counts[item], db.catalog.label(item)))), 1)
+        for t in db.transactions
+    ]
+    base = ConditionalPatternBase(paths)
+    tree, header = build_fptree(db, threshold)
+    expected, expected_header = build_conditional_tree(base, threshold, db.catalog)
+    assert dump_tree(tree) == dump_tree(expected)
+    assert tree.node_count == expected.node_count
+    assert list(header.items()) == list(expected_header.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(conftest.dbs_with_threshold())
+def test_top_level_nodes_are_numbered_depth_first(case):
+    """Each node hangs under the node just before it or one of its ancestors."""
+    db, threshold = case
+    parents = RankedTree.from_fptree(*build_fptree(db, threshold)).parents
+    for node in range(2, len(parents)):
+        above = node - 1
+        while above and above != parents[node]:
+            above = parents[above]
+        assert above == parents[node]
+
+
+@settings(max_examples=60, deadline=None)
+@given(conftest.dbs_with_threshold())
 def test_tree_stats_drain_to_zero(case):
     db, threshold = case
     stats = TreeStats()
@@ -187,17 +226,13 @@ def test_tree_stats_drain_to_zero(case):
 
 
 def _as_fptree(ranked, items, catalog):
-    """The same tree as FP nodes, so dump_tree can render it."""
-    tree = FPTree(catalog)
-    nodes = [tree.root]
-    rows = zip(ranked.parents[1:], ranked.ranks[1:], ranked.counts[1:])
-    for parent, rank, count in rows:
-        node = FPNode(items[rank], nodes[parent])
-        node.count = count
-        assert node.item not in nodes[parent].children, "sibling items must differ"
-        nodes[parent].children[node.item] = node
-        nodes.append(node)
-    tree.node_count = len(nodes) - 1
+    """The same tree in item space, so dump_tree can render it."""
+    tree = FPTree(catalog, ())
+    tree.parents = ranked.parents.copy()
+    tree.items = [ROOT_ITEM] + [items[rank] for rank in ranked.ranks[1:]]
+    tree.counts = ranked.counts.copy()
+    siblings = list(zip(tree.parents[1:], tree.items[1:]))
+    assert len(set(siblings)) == len(siblings), "sibling items must differ"
     return tree
 
 
@@ -212,7 +247,7 @@ def _assert_projections_match(tree, header, ranked, items, threshold, catalog):
         assert dump_tree(_as_fptree(projected, items, catalog)) == dump_tree(expected)
         assert projected.node_count == expected.node_count
         totals = {items[r]: total for r, total in enumerate(projected.totals) if total}
-        assert totals == {entry.item: entry.total for entry in expected_header}
+        assert totals == expected_header
         _assert_projections_match(
             expected, expected_header, projected, items, threshold, catalog
         )
@@ -224,7 +259,7 @@ def test_projection_matches_reference_route(case):
     """Every conditional tree, at every depth, equals the path-by-path build."""
     db, threshold = case
     tree, header = build_fptree(db, threshold)
-    items = [entry.item for entry in header.entries]
+    items = list(header)
     ranked = RankedTree.from_fptree(tree, header)
     assert dump_tree(_as_fptree(ranked, items, db.catalog)) == dump_tree(tree)
     _assert_projections_match(tree, header, ranked, items, threshold, db.catalog)
@@ -235,7 +270,7 @@ def test_projection_merges_paths_joined_by_a_dropped_item():
     # and a-c meet once b is dropped.
     db = parse_transactions("a,b,c,x\na,c,x\na,b\nb\n")
     tree, header = build_fptree(db, 2)
-    items = [entry.item for entry in header.entries]
+    items = list(header)
     x_rank = items.index(db.catalog.lookup("x"))
     projected = RankedTree.from_fptree(tree, header).project(x_rank, 2)
     assert dump_tree(_as_fptree(projected, items, db.catalog)) == "a:2\n  c:2\n"

@@ -1,0 +1,34 @@
+"""The package imports nothing outside the standard library and itself."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "freqmine"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported_roots(tree: ast.Module) -> set[str]:
+    """Top-level names of every absolute import; relative ones are the package."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("freqmine" if node.level else node.module.partition(".")[0])
+    return roots
+
+
+def test_package_has_modules():
+    assert PACKAGE / "__init__.py" in MODULES
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
+def test_module_imports_only_the_standard_library(module):
+    tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+    foreign = _imported_roots(tree) - set(sys.stdlib_module_names) - {"freqmine"}
+    assert not foreign, f"{module.name} imports {sorted(foreign)}"
