@@ -204,8 +204,26 @@ def sorted_itemsets(freq: FrequentItemsets, catalog: ItemCatalog) -> list[Itemse
     return sorted(freq.support, key=lambda s: (len(s), catalog.labels_of(s)))
 
 
+def check_joinable(catalog: ItemCatalog) -> None:
+    """Raise ValidationError naming the first label that contains LABEL_JOINER.
+
+    Output joins an itemset's labels with it, so such a label could not be
+    told apart from two labels when the CSV is read back.
+    """
+    for label in catalog.labels:
+        if LABEL_JOINER in label:
+            raise ValidationError(
+                f"item label {label!r} contains {LABEL_JOINER!r}, "
+                "which joins the labels of an itemset in the output"
+            )
+
+
 def write_frequent_csv(freq: FrequentItemsets, catalog: ItemCatalog) -> str:
-    """Render itemset,support rows with '|'-joined labels, sized-then-label order."""
+    """Render itemset,support rows with '|'-joined labels, sized-then-label order.
+
+    A label containing '|' raises ValidationError before anything is rendered.
+    """
+    check_joinable(catalog)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(FREQUENT_CSV_HEADER)
@@ -221,37 +239,38 @@ def read_support_csv(content: str) -> tuple[FrequentItemsets, ItemCatalog]:
     The header row is optional ("itemset,support" or "itemset,count"). Labels
     within a row are '|'-separated. When no database size accompanies the
     counts, n is taken as the largest count seen. Conflicting duplicate rows
-    raise ValidationError; identical duplicates collapse.
+    raise ValidationError, naming the physical line on which the row ends;
+    identical duplicates collapse.
     """
     catalog = ItemCatalog()
     support: dict[Itemset, int] = {}
-    rows = list(CsvRows(content))
-    if rows and tuple(cell.strip().casefold() for cell in rows[0][:2]) in {
-        ("itemset", "support"),
-        ("itemset", "count"),
-    }:
-        rows = rows[1:]
-    for line_index, row in enumerate(rows, start=1):
+    rows = CsvRows(content)
+    for index, row in enumerate(rows):
+        if index == 0 and tuple(cell.strip().casefold() for cell in row[:2]) in {
+            ("itemset", "support"),
+            ("itemset", "count"),
+        }:
+            continue
         if not any(cell.strip() for cell in row):
             continue
         if len(row) < 2:
-            raise ValidationError(f"support row {line_index}: expected itemset,count")
+            raise ValidationError(f"support line {rows.line_num}: expected itemset,count")
         labels = [part for part in row[0].split(LABEL_JOINER) if part.strip()]
         if not labels:
-            raise ValidationError(f"support row {line_index}: empty itemset")
+            raise ValidationError(f"support line {rows.line_num}: empty itemset")
         try:
             count = int(row[1])
         except ValueError:
             raise ValidationError(
-                f"support row {line_index}: count is not an integer: {row[1]!r}"
+                f"support line {rows.line_num}: count is not an integer: {row[1]!r}"
             ) from None
         if count < 1:
-            raise ValidationError(f"support row {line_index}: count must be >= 1")
+            raise ValidationError(f"support line {rows.line_num}: count must be >= 1")
         itemset = tuple(sorted({catalog.intern(label) for label in labels}))
         previous = support.get(itemset)
         if previous is not None and previous != count:
             raise ValidationError(
-                f"support row {line_index}: conflicting counts for {row[0]!r}"
+                f"support line {rows.line_num}: conflicting counts for {row[0]!r}"
             )
         support[itemset] = count
     n = max(support.values(), default=0)

@@ -125,11 +125,23 @@ class TransactionDb:
         return len(self.transactions)
 
 
+def _lines(content: str) -> Iterator[str]:
+    """content split after each "\n", endings kept: the lines io.StringIO(content) yields."""
+    start = 0
+    while start < len(content):
+        end = content.find("\n", start) + 1 or len(content)
+        yield content[start:end]
+        start = end
+
+
 class CsvRows:
-    """Rows of CSV text; a quoting error raises CsvParseError naming its line."""
+    """Rows of CSV text; a quoting error raises CsvParseError naming its line.
+
+    The reader takes the text line by line, so no second copy of it is made.
+    """
 
     def __init__(self, content: str) -> None:
-        self._reader = csv.reader(io.StringIO(content), strict=True)
+        self._reader = csv.reader(_lines(content), strict=True)
 
     @property
     def line_num(self) -> int:
@@ -282,11 +294,16 @@ def parse_survey(
     missing_key = normalize_label(schema.missing_age_label)
     catalog = ItemCatalog(aliases)
     transactions: list[Itemset] = []
+    # Bucket label of each distinct age cell; a bad cell raises before it is stored.
+    buckets: dict[str, str] = {}
     for row in rows:
         age_cell = row[age_at] if age_at < len(row) else ""
         impact_cell = row[impact_at] if impact_at < len(row) else ""
-        age = _parse_age(age_cell, missing_key)
-        labels = [bucket_age(age, schema.missing_age_label)]
+        bucket = buckets.get(age_cell)
+        if bucket is None:
+            age = _parse_age(age_cell, missing_key)
+            bucket = buckets[age_cell] = bucket_age(age, schema.missing_age_label)
+        labels = [bucket]
         labels.extend(impact_cell.split(schema.multiselect_delimiter))
         transactions.append(_intern_labels(catalog, labels))
     return TransactionDb(catalog, tuple(transactions))

@@ -1,13 +1,13 @@
 """FP-Growth mining over a prefix tree held as parallel lists.
 
-Transactions are rewritten in descending item-frequency order (label order
-breaks ties) so shared prefixes share nodes. Every tree is held as parallel
-parents/items/counts lists plus one chain of node indices per header item;
-the header is a dict from item to total. Mining relabels the top-level tree
-by header rank, then walks the ranks from the least frequent upward. Each
-rank's conditional tree is projected from the shared ancestors of its nodes:
-every ancestor is reached once, its count summed bottom-up once, and the
-infrequent items dropped as the tree is built. conditional_pattern_base and
+Items are ranked once, by descending frequency (label order breaks ties), and
+every tree is built in that rank space: parallel parents/ranks/counts lists
+plus one chain of node indices and one total per rank, with order mapping
+each rank back to its item. Mining walks the ranks from the least frequent
+upward. Each rank's conditional tree is projected from the shared ancestors
+of its nodes: every ancestor is reached once, its count summed bottom-up
+once, and the infrequent ranks dropped as the tree is built. A projected tree
+shares its parent's order. conditional_pattern_base and
 build_conditional_tree remain the path-by-path reference route and give the
 same trees. Output matches the levelwise miner exactly.
 """
@@ -22,7 +22,7 @@ from .apriori import FrequentItemsets
 from .dataset import ItemCatalog, ItemId, Itemset, TransactionDb, item_frequencies
 from .errors import ValidationError
 
-# Sentinel item for the root node; never a valid catalog handle.
+# Sentinel rank for the root node; never a valid rank or catalog handle.
 ROOT_ITEM: ItemId = -1
 
 # Fixed memory model, so memory proxies compare across platforms: every tree
@@ -32,25 +32,115 @@ TREE_NODE_BYTES = 160
 
 
 class FPTree:
-    """A prefix tree held as parallel lists, in item space.
+    """A prefix tree held as parallel lists, in header-rank space.
 
-    Node 0 is the root. Every node's parent has a smaller index, and the
-    top-level tree numbers its nodes depth-first. chains maps each header
-    item, in header order, to its nodes in ascending index order.
+    order[r] is the item of rank r. Node 0 is the root. Every node's parent
+    has a smaller index, so ascending index order is top-down and descending
+    order is bottom-up; the top-level tree numbers its nodes depth-first.
+    chains[r] lists the nodes of rank r in ascending index order and
+    totals[r] is their summed count; a rank with no nodes has an empty chain
+    and a zero total. The top-level tree's paths ascend in rank, and a
+    projected tree shares its parent's order and keeps its ranks, so its
+    paths ascend too. build_conditional_tree ranks by its own header and
+    keeps each path's order.
     """
 
-    __slots__ = ("catalog", "parents", "items", "counts", "chains")
+    __slots__ = ("catalog", "order", "parents", "ranks", "counts", "chains", "totals")
 
-    def __init__(self, catalog: ItemCatalog, header: Iterable[ItemId]) -> None:
+    def __init__(self, catalog: ItemCatalog, order: list[ItemId], totals: list[int]) -> None:
         self.catalog = catalog
+        self.order = order
         self.parents = [0]
-        self.items = [ROOT_ITEM]
+        self.ranks = [ROOT_ITEM]
         self.counts = [0]
-        self.chains: dict[ItemId, list[int]] = {item: [] for item in header}
+        self.chains: list[list[int]] = [[] for _ in totals]
+        self.totals = totals
 
     @property
     def node_count(self) -> int:
         return len(self.parents) - 1
+
+    # perfbench/trace_cli.py times this call by name as fpgrowth.rank_copy;
+    # it goes when the program reports its own trace (ROADMAP item 5).
+    @classmethod
+    def from_fptree(cls, tree: FPTree, header: Mapping[ItemId, int]) -> FPTree:
+        return tree
+
+    def project(self, rank: int, min_support: int) -> FPTree:
+        """Conditional tree of one rank, built from its nodes' shared ancestors.
+
+        Each chain node's parent collects the node's count, and the walk up
+        from it stops at the first ancestor already reached, so every
+        ancestor is visited once. One bottom-up pass then sums the counts
+        and the conditional totals. Ranks below min_support are dropped and
+        the rest are linked under their nearest kept ancestor, merging nodes
+        whose kept paths coincide. The result has the same nodes and counts
+        as build_conditional_tree over conditional_pattern_base.
+        """
+        parents, ranks, counts = self.parents, self.ranks, self.counts
+        # reached[i] is -1 until the walk reaches node i, then the summed
+        # count of the chain nodes below it: direct children during the walk,
+        # all descendants after the bottom-up pass. The root counts as
+        # reached so every walk stops there.
+        reached = [-1] * len(parents)
+        reached[0] = 0
+        ancestors: list[int] = []
+        add_ancestor = ancestors.append
+        for node in self.chains[rank]:
+            above = parents[node]
+            seen = reached[above]
+            if seen >= 0:
+                reached[above] = seen + counts[node]
+                continue
+            reached[above] = counts[node]
+            add_ancestor(above)
+            above = parents[above]
+            while reached[above] < 0:
+                reached[above] = 0
+                add_ancestor(above)
+                above = parents[above]
+        ancestors.sort(reverse=True)
+        totals = [0] * rank
+        for node in ancestors:
+            below = reached[node]
+            reached[parents[node]] += below
+            totals[ranks[node]] += below
+        kept = [total >= min_support for total in totals]
+        if not any(kept):
+            return FPTree(self.catalog, self.order, [])
+        projected = FPTree(
+            self.catalog, self.order, [total if keep else 0 for total, keep in zip(totals, kept)]
+        )
+        new_parents, new_ranks = projected.parents, projected.ranks
+        new_counts, chains = projected.counts, projected.chains
+        # Once a node is placed, reached[] holds its image in the projected
+        # tree: its own new node, or its nearest kept ancestor's.
+        reached[0] = 0
+        children: dict[int, int] = {}
+        for node in reversed(ancestors):
+            node_rank = ranks[node]
+            parent = reached[parents[node]]
+            if kept[node_rank]:
+                # node_rank < rank, so the key names one (parent, rank) pair.
+                key = parent * rank + node_rank
+                child = children.get(key)
+                if child is None:
+                    child = children[key] = len(new_parents)
+                    new_parents.append(parent)
+                    new_ranks.append(node_rank)
+                    new_counts.append(reached[node])
+                    chains[node_rank].append(child)
+                else:
+                    new_counts[child] += reached[node]
+                reached[node] = child
+            else:
+                reached[node] = parent
+        return projected
+
+
+# perfbench/trace_cli.py patches the tree class under this name; the alias
+# goes when the program reports its own trace (ROADMAP item 5).
+RankedTree = FPTree
 
 
 @dataclass
@@ -106,26 +196,27 @@ def _frequent_order(
 
 def _build(
     catalog: ItemCatalog,
-    header: dict[ItemId, int],
-    paths: Iterable[tuple[Sequence[ItemId], int]],
+    order: list[ItemId],
+    totals: list[int],
+    paths: Iterable[tuple[Sequence[int], int]],
 ) -> FPTree:
-    """Insert each (path, count) pair in turn, merging shared prefixes."""
-    tree = FPTree(catalog, header)
-    parents, items, counts, chains = tree.parents, tree.items, tree.counts, tree.chains
-    width = len(catalog)
-    # Item handles are below width, so the key names one (parent, item) pair.
+    """Insert each (rank path, count) pair in turn, merging shared prefixes."""
+    tree = FPTree(catalog, order, totals)
+    parents, ranks, counts, chains = tree.parents, tree.ranks, tree.counts, tree.chains
+    width = len(order)
+    # Ranks are below width, so the key names one (parent, rank) pair.
     children: dict[int, int] = {}
     for path, count in paths:
         node = 0
-        for item in path:
-            key = node * width + item
+        for rank in path:
+            key = node * width + rank
             child = children.get(key)
             if child is None:
                 child = children[key] = len(parents)
                 parents.append(node)
-                items.append(item)
+                ranks.append(rank)
                 counts.append(count)
-                chains[item].append(child)
+                chains[rank].append(child)
             else:
                 counts[child] += count
             node = child
@@ -133,13 +224,13 @@ def _build(
 
 
 def build_fptree(db: TransactionDb, min_support: int) -> tuple[FPTree, dict[ItemId, int]]:
-    """Two-pass construction: count items, then insert each ordered transaction.
+    """Two-pass construction: count items, then insert each ranked transaction.
 
     The header maps exactly the items with support >= min_support to their
-    totals, in header order; every frequent item appears in at least one
-    transaction, so every header item has a chain. Equal transactions are
-    inserted once with their multiplicity, in ascending order of their rank
-    tuples, which numbers the nodes depth-first.
+    totals, in header order, which is the tree's rank order; every frequent
+    item appears in at least one transaction, so every rank has a chain.
+    Equal transactions are inserted once with their multiplicity, in
+    ascending order of their rank tuples, which numbers the nodes depth-first.
     """
     if min_support < 1:
         raise ValidationError(f"min_support must be >= 1, got {min_support}")
@@ -152,8 +243,7 @@ def build_fptree(db: TransactionDb, min_support: int) -> tuple[FPTree, dict[Item
     )
     del folded[()]
     header = {item: totals[item] for item in order}
-    paths = (([order[r] for r in ranks], count) for ranks, count in sorted(folded.items()))
-    return _build(db.catalog, header, paths), header
+    return _build(db.catalog, order, list(header.values()), sorted(folded.items())), header
 
 
 def conditional_pattern_base(
@@ -161,21 +251,21 @@ def conditional_pattern_base(
 ) -> ConditionalPatternBase:
     """Every root-to-parent path above the item's nodes, with the node counts.
 
-    Paths follow the chain order; a node directly under the root contributes
-    an empty path whose count still participates in conditional totals.
-    Items outside the header raise KeyError.
+    Paths hold items, follow the chain order, and a node directly under the
+    root contributes an empty path whose count still participates in
+    conditional totals. Items outside the header raise KeyError.
     """
     if item not in header:
         raise KeyError(item)
-    parents, items, counts = tree.parents, tree.items, tree.counts
+    parents, ranks, counts, order = tree.parents, tree.ranks, tree.counts, tree.order
     base = ConditionalPatternBase()
     paths_append = base.paths.append
-    for node in tree.chains[item]:
+    for node in tree.chains[order.index(item)]:
         prefix: list[ItemId] = []
         prefix_append = prefix.append
         above = parents[node]
         while above:
-            prefix_append(items[above])
+            prefix_append(order[ranks[above]])
             above = parents[above]
         prefix.reverse()
         paths_append((tuple(prefix), counts[node]))
@@ -187,136 +277,26 @@ def build_conditional_tree(
 ) -> tuple[FPTree, dict[ItemId, int]]:
     """Re-insert the base's paths weighted by their counts, filtered by total.
 
-    Items whose summed path counts fall below min_support are dropped before
-    insertion. An empty base (or one where nothing survives) yields an empty
-    tree and an empty header.
+    Items whose summed path counts fall below min_support are dropped, and
+    the rest are ranked by their own header order, before insertion. An
+    empty base (or one where nothing survives) yields an empty tree and an
+    empty header.
     """
     totals: dict[ItemId, int] = {}
     totals_get = totals.get
     for path, count in base.paths:
         for item in path:
             totals[item] = totals_get(item, 0) + count
-    header = {item: totals[item] for item in _frequent_order(totals, min_support, catalog)}
-    paths = [([item for item in path if item in header], count) for path, count in base.paths]
-    return _build(catalog, header, paths), header
-
-
-class RankedTree:
-    """An FPTree's layout with items replaced by header rank.
-
-    Rank r is the item at position r of the top-level header, and conditional
-    trees keep those ranks, so paths stay in ascending rank order at every
-    depth. Node 0 is the root. Every node's parent has a smaller index, so
-    ascending index order is top-down and descending order is bottom-up.
-    chains[r] lists the nodes of rank r and totals[r] is their summed count;
-    a rank with no nodes has an empty chain and a zero total.
-    """
-
-    __slots__ = ("parents", "ranks", "counts", "chains", "totals")
-
-    def __init__(self, totals: list[int]) -> None:
-        self.parents = [0]
-        self.ranks = [ROOT_ITEM]
-        self.counts = [0]
-        self.chains: list[list[int]] = [[] for _ in totals]
-        self.totals = totals
-
-    @property
-    def node_count(self) -> int:
-        return len(self.parents) - 1
-
-    @classmethod
-    def from_fptree(cls, tree: FPTree, header: Mapping[ItemId, int]) -> RankedTree:
-        """Relabel a tree's items by their position in the header."""
-        rank = {item: position for position, item in enumerate(header)}
-        rank[ROOT_ITEM] = ROOT_ITEM
-        ranked = cls(list(header.values()))
-        ranked.parents = tree.parents.copy()
-        ranked.ranks = list(map(rank.__getitem__, tree.items))
-        ranked.counts = tree.counts.copy()
-        ranked.chains = [tree.chains[item].copy() for item in header]
-        return ranked
-
-    def project(self, rank: int, min_support: int) -> RankedTree:
-        """Conditional tree of one rank, built from its nodes' shared ancestors.
-
-        Each chain node's parent collects the node's count, and the walk up
-        from it stops at the first ancestor already reached, so every
-        ancestor is visited once. One bottom-up pass then sums the counts
-        and the conditional totals. Ranks below min_support are dropped and
-        the rest are linked under their nearest kept ancestor, merging nodes
-        whose kept paths coincide. The result has the same nodes and counts
-        as build_conditional_tree over conditional_pattern_base.
-        """
-        parents, ranks, counts = self.parents, self.ranks, self.counts
-        # reached[i] is -1 until the walk reaches node i, then the summed
-        # count of the chain nodes below it: direct children during the walk,
-        # all descendants after the bottom-up pass. The root counts as
-        # reached so every walk stops there.
-        reached = [-1] * len(parents)
-        reached[0] = 0
-        ancestors: list[int] = []
-        add_ancestor = ancestors.append
-        for node in self.chains[rank]:
-            above = parents[node]
-            seen = reached[above]
-            if seen >= 0:
-                reached[above] = seen + counts[node]
-                continue
-            reached[above] = counts[node]
-            add_ancestor(above)
-            above = parents[above]
-            while reached[above] < 0:
-                reached[above] = 0
-                add_ancestor(above)
-                above = parents[above]
-        ancestors.sort(reverse=True)
-        totals = [0] * rank
-        for node in ancestors:
-            below = reached[node]
-            reached[parents[node]] += below
-            totals[ranks[node]] += below
-        kept = [total >= min_support for total in totals]
-        if not any(kept):
-            return RankedTree([])
-        projected = RankedTree(
-            [total if keep else 0 for total, keep in zip(totals, kept)]
-        )
-        new_parents, new_ranks, new_counts = (
-            projected.parents,
-            projected.ranks,
-            projected.counts,
-        )
-        chains = projected.chains
-        # Once a node is placed, reached[] holds its image in the projected
-        # tree: its own new node, or its nearest kept ancestor's.
-        reached[0] = 0
-        children: dict[int, int] = {}
-        for node in reversed(ancestors):
-            node_rank = ranks[node]
-            parent = reached[parents[node]]
-            if kept[node_rank]:
-                # node_rank < rank, so the key names one (parent, rank) pair.
-                key = parent * rank + node_rank
-                child = children.get(key)
-                if child is None:
-                    child = children[key] = len(new_parents)
-                    new_parents.append(parent)
-                    new_ranks.append(node_rank)
-                    new_counts.append(reached[node])
-                    chains[node_rank].append(child)
-                else:
-                    new_counts[child] += reached[node]
-                reached[node] = child
-            else:
-                reached[node] = parent
-        return projected
+    order = _frequent_order(totals, min_support, catalog)
+    rank = {item: position for position, item in enumerate(order)}
+    paths = [([rank[item] for item in path if item in rank], count) for path, count in base.paths]
+    header = {item: totals[item] for item in order}
+    return _build(catalog, order, list(header.values()), paths), header
 
 
 def _mine(
-    tree: RankedTree,
+    tree: FPTree,
     suffix: Itemset,
-    items: Sequence[ItemId],
     min_support: int,
     out: dict[Itemset, int],
     stats: TreeStats,
@@ -326,13 +306,13 @@ def _mine(
     for rank in range(len(tree.chains) - 1, -1, -1):
         if not tree.chains[rank]:
             continue
-        itemset = (*suffix, items[rank])
+        itemset = (*suffix, tree.order[rank])
         out[tuple(sorted(itemset))] = tree.totals[rank]
         subtree = tree.project(rank, min_support)
         created = subtree.node_count
         if created:
             stats.created(created)
-            _mine(subtree, itemset, items, min_support, out, stats)
+            _mine(subtree, itemset, min_support, out, stats)
             stats.freed(created)
 
 
@@ -345,17 +325,16 @@ def fpgrowth_mine(
     tree, header = build_fptree(db, min_support)
     created = tree.node_count
     stats.created(created)
-    ranked = RankedTree.from_fptree(tree, header)
-    del tree  # mining reads only the ranked copy
+    tree = RankedTree.from_fptree(tree, header)
     support: dict[Itemset, int] = {}
-    _mine(ranked, (), list(header), min_support, support, stats)
+    _mine(tree, (), min_support, support, stats)
     stats.freed(created)
     return FrequentItemsets(support, db.n)
 
 
 def dump_tree(tree: FPTree) -> str:
     """Indented label:count rendering, children sorted by display label."""
-    label, items, counts = tree.catalog.label, tree.items, tree.counts
+    label, order, ranks, counts = tree.catalog.label, tree.order, tree.ranks, tree.counts
     children: list[list[int]] = [[] for _ in tree.parents]
     for node in range(1, len(tree.parents)):
         children[tree.parents[node]].append(node)
@@ -365,7 +344,7 @@ def dump_tree(tree: FPTree) -> str:
     while pending:
         node, depth = pending.pop()
         if node:
-            lines.append("  " * depth + f"{label(items[node])}:{counts[node]}")
-        below = sorted(children[node], key=lambda child: label(items[child]), reverse=True)
+            lines.append("  " * depth + f"{label(order[ranks[node]])}:{counts[node]}")
+        below = sorted(children[node], key=lambda child: label(order[ranks[child]]), reverse=True)
         pending.extend((child, depth + 1) for child in below)
     return "\n".join(lines) + ("\n" if lines else "")

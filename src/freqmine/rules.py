@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .apriori import LABEL_JOINER, FrequentItemsets, sorted_itemsets
+from .apriori import LABEL_JOINER, FrequentItemsets, check_joinable, sorted_itemsets
 from .dataset import ItemCatalog, Itemset
 from .errors import ClosureViolationError, ContractViolationError
 
@@ -153,9 +153,11 @@ def _raise_first_bad_split(
 def write_rules_csv(rules: list[AssociationRule], catalog: ItemCatalog) -> str:
     """Render antecedent,consequent,support,confidence,status rows.
 
-    Itemsets are '|'-joined labels; confidence prints as the shortest decimal
-    that round-trips to the stored double.
+    Itemsets are '|'-joined labels, so a label containing '|' raises
+    ValidationError before anything is rendered; confidence prints as the
+    shortest decimal that round-trips to the stored double.
     """
+    check_joinable(catalog)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(RULES_CSV_HEADER)

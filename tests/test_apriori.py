@@ -195,13 +195,13 @@ def test_read_support_csv_duplicate_handling():
 
 
 def test_read_support_csv_rejects_bad_rows():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="line 1: count is not an integer"):
         read_support_csv("a,notanumber\n")
-    with pytest.raises(ValidationError):
-        read_support_csv("a,0\n")
-    with pytest.raises(ValidationError):
-        read_support_csv("justone\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="line 2: count must be >= 1"):
+        read_support_csv("itemset,support\na,0\n")
+    with pytest.raises(ValidationError, match="line 3: expected itemset,count"):
+        read_support_csv('"a\nb",3\njustone\n')
+    with pytest.raises(ValidationError, match="line 1: empty itemset"):
         read_support_csv("|,3\n")
 
 

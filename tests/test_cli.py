@@ -291,6 +291,23 @@ def test_rules_support_csv_conflicting_duplicate(tmp_path, capsys):
     assert run_cli(["rules", "--support-csv", str(table), "--min-confidence", "0.5"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["mine"], ["rules", "--min-confidence", "0.5"]],
+    ids=["mine", "rules"],
+)
+def test_label_containing_the_joiner_is_refused(argv, tmp_path, capsys):
+    # Written as x|y|z, the pair {x|y, z} would read back as three items.
+    path = tmp_path / "pipes.csv"
+    path.write_text("x|y,z\nx|y,z\nx|y\nz\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    command, *options = argv
+    assert run_cli([command, str(path), "--min-support", "2", "--output", str(out), *options]) == 1
+    captured = capsys.readouterr()
+    assert "'x|y'" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_recode_survey(capsys):
     assert run_cli(["recode", str(DATA_DIR / "survey_sample.csv")]) == 0
     assert capsys.readouterr().out == RECODE_GOLDEN

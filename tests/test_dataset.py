@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import conftest
 from freqmine import dataset
 from freqmine.dataset import (
+    CsvRows,
     ItemCatalog,
     SurveySchema,
     bucket_age,
@@ -289,13 +293,42 @@ def test_survey_with_aliases_normalizes_each_spelling_once(monkeypatch):
         return normalize_label(raw)
 
     monkeypatch.setattr(dataset, "normalize_label", counting)
-    # Age cells are still normalized row by row, so these rows leave the age blank.
+    ages = ("", "16", "don't  REMEMBER", "40", " 29 ")
     spellings = ("Panic attacks", "Anxiety;Fear (intense)", "panic  ATTACKS;", "Depressions")
-    rows = [f",{spellings[index % len(spellings)]}" for index in range(1000)]
+    rows = [
+        f"{ages[index % len(ages)]},{spellings[index % len(spellings)]}"
+        for index in range(1000)
+    ]
     db = parse_survey("age,impacts\n" + "\n".join(rows) + "\n", SurveySchema(), aliases)
     assert db.n == 1000
-    assert db.catalog.labels == ("Don't remember", "Anxiety", "Intense fear", "Depressions")
+    assert db.catalog.labels == (
+        "Don't remember",
+        "Anxiety",
+        "Under 18",
+        "Intense fear",
+        "Above 35",
+        "Depressions",
+        "25-34",
+    )
     assert len(calls) <= 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet='a,"\n\r\x0b\u2028\ufeff', max_size=30))
+def test_csv_rows_read_like_csv_reader_over_stringio(content):
+    reader = csv.reader(io.StringIO(content), strict=True)
+    expected, expected_error = [], None
+    try:
+        expected.extend(reader)
+    except csv.Error as exc:
+        expected_error = f"line {reader.line_num}: {exc}"
+    rows = CsvRows(content)
+    got, error = [], None
+    try:
+        got.extend(rows)
+    except CsvParseError as exc:
+        error = str(exc)
+    assert (got, error, rows.line_num) == (expected, expected_error, reader.line_num)
 
 
 def test_parse_survey_quoting_error_in_header_names_the_line():

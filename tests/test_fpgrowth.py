@@ -12,10 +12,7 @@ from freqmine.apriori import apriori_mine
 from freqmine.dataset import item_frequencies, parse_transactions
 from freqmine.errors import ValidationError
 from freqmine.fpgrowth import (
-    ROOT_ITEM,
     ConditionalPatternBase,
-    FPTree,
-    RankedTree,
     TreeStats,
     build_conditional_tree,
     build_fptree,
@@ -66,12 +63,12 @@ def test_header_order_descending_support():
 
 def test_chain_counts_sum_to_header_total(db5):
     tree, header = build_fptree(db5, 1)
-    assert list(tree.chains) == list(header)
-    for item, total in header.items():
-        chain = tree.chains[item]
+    assert tree.order == list(header)
+    assert tree.totals == list(header.values())
+    for rank, chain in enumerate(tree.chains):
         assert chain == sorted(chain)
-        assert all(tree.items[node] == item for node in chain)
-        assert sum(tree.counts[node] for node in chain) == total
+        assert all(tree.ranks[node] == rank for node in chain)
+        assert sum(tree.counts[node] for node in chain) == tree.totals[rank]
 
 
 def test_conditional_pattern_base_db5_golden(db5):
@@ -207,7 +204,7 @@ def test_build_fptree_matches_unit_count_pattern_base(case):
 def test_top_level_nodes_are_numbered_depth_first(case):
     """Each node hangs under the node just before it or one of its ancestors."""
     db, threshold = case
-    parents = RankedTree.from_fptree(*build_fptree(db, threshold)).parents
+    parents = build_fptree(db, threshold)[0].parents
     for node in range(2, len(parents)):
         above = node - 1
         while above and above != parents[node]:
@@ -225,32 +222,20 @@ def test_tree_stats_drain_to_zero(case):
     assert stats.peak_alive_nodes <= stats.nodes_created
 
 
-def _as_fptree(ranked, items, catalog):
-    """The same tree in item space, so dump_tree can render it."""
-    tree = FPTree(catalog, ())
-    tree.parents = ranked.parents.copy()
-    tree.items = [ROOT_ITEM] + [items[rank] for rank in ranked.ranks[1:]]
-    tree.counts = ranked.counts.copy()
-    siblings = list(zip(tree.parents[1:], tree.items[1:]))
-    assert len(set(siblings)) == len(siblings), "sibling items must differ"
-    return tree
-
-
-def _assert_projections_match(tree, header, ranked, items, threshold, catalog):
+def _assert_projections_match(tree, header, ranked, threshold, catalog):
     for rank, chain in enumerate(ranked.chains):
         assert chain == [i for i, r in enumerate(ranked.ranks) if r == rank]
         if not chain:
             continue
-        base = conditional_pattern_base(tree, header, items[rank])
+        base = conditional_pattern_base(tree, header, ranked.order[rank])
         expected, expected_header = build_conditional_tree(base, threshold, catalog)
         projected = ranked.project(rank, threshold)
-        assert dump_tree(_as_fptree(projected, items, catalog)) == dump_tree(expected)
+        assert projected.order is ranked.order
+        assert dump_tree(projected) == dump_tree(expected)
         assert projected.node_count == expected.node_count
-        totals = {items[r]: total for r, total in enumerate(projected.totals) if total}
+        totals = {projected.order[r]: t for r, t in enumerate(projected.totals) if t}
         assert totals == expected_header
-        _assert_projections_match(
-            expected, expected_header, projected, items, threshold, catalog
-        )
+        _assert_projections_match(expected, expected_header, projected, threshold, catalog)
 
 
 @settings(max_examples=100, deadline=None)
@@ -259,19 +244,14 @@ def test_projection_matches_reference_route(case):
     """Every conditional tree, at every depth, equals the path-by-path build."""
     db, threshold = case
     tree, header = build_fptree(db, threshold)
-    items = list(header)
-    ranked = RankedTree.from_fptree(tree, header)
-    assert dump_tree(_as_fptree(ranked, items, db.catalog)) == dump_tree(tree)
-    _assert_projections_match(tree, header, ranked, items, threshold, db.catalog)
+    _assert_projections_match(tree, header, tree, threshold, db.catalog)
 
 
 def test_projection_merges_paths_joined_by_a_dropped_item():
     # b is frequent overall but not alongside x, so x's prefix paths a-b-c
     # and a-c meet once b is dropped.
     db = parse_transactions("a,b,c,x\na,c,x\na,b\nb\n")
-    tree, header = build_fptree(db, 2)
-    items = list(header)
-    x_rank = items.index(db.catalog.lookup("x"))
-    projected = RankedTree.from_fptree(tree, header).project(x_rank, 2)
-    assert dump_tree(_as_fptree(projected, items, db.catalog)) == "a:2\n  c:2\n"
+    tree, _ = build_fptree(db, 2)
+    projected = tree.project(tree.order.index(db.catalog.lookup("x")), 2)
+    assert dump_tree(projected) == "a:2\n  c:2\n"
     assert projected.node_count == 2
