@@ -240,12 +240,16 @@ def summarize(
     )
 
 
+def _is_integral(value: float | int) -> bool:
+    """True for an int or a finite float with no fractional part."""
+    return not isinstance(value, float) or value.is_integer()
+
+
 def _axis_params(base: SynthParams, axis: str, value: float | int) -> SynthParams:
     if axis in ("n_transactions", "n_items"):
-        as_int = int(value)
-        if as_int != value:
+        if not _is_integral(value):
             raise ValidationError(f"axis value {value!r}: {axis} must be an integer")
-        value = as_int
+        value = int(value)
     try:
         return replace(base, **{axis: value})
     except ValidationError as exc:
@@ -283,26 +287,31 @@ def sweep(
             "exactly one of min_support or min_support_frac is required"
         )
 
+    ordered = sorted(values)
     config = {
         "axis": axis,
-        "values": sorted(values),
+        "values": ordered,
         "repetitions": repetitions,
         **asdict(base),
         "min_support": min_support,
         "min_support_frac": str(min_support_frac) if min_support_frac is not None else None,
     }
-    shared_db = generate_synthetic(base) if axis == "min_support" else None
-    rows: list[ReportRow] = []
-    for value in sorted(values):
-        if axis == "min_support":
-            threshold = int(value)
-            if threshold != value or threshold < 1:
+    # Every value is checked before the first trial runs.
+    if axis == "min_support":
+        for value in ordered:
+            if not _is_integral(value) or value < 1:
                 raise ValidationError(
                     f"axis value {value!r}: min_support must be an integer >= 1"
                 )
-            db = shared_db
+        shared_db = generate_synthetic(base)
+    else:
+        shapes = {value: _axis_params(base, axis, value) for value in ordered}
+    rows: list[ReportRow] = []
+    for value in ordered:
+        if axis == "min_support":
+            db, threshold = shared_db, int(value)
         else:
-            db = generate_synthetic(_axis_params(base, axis, value))
+            db = generate_synthetic(shapes[value])
             if min_support is not None:
                 threshold = min_support
             else:

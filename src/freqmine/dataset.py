@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -125,11 +126,16 @@ class TransactionDb:
         return len(self.transactions)
 
 
-def _lines(content: str) -> Iterator[str]:
-    """content split after each "\n", endings kept: the lines io.StringIO(content) yields."""
+# CsvRows hands the text to csv.reader in pieces of about this many
+# characters, so only one piece is ever copied at a time.
+_PIECE_CHARS = 1 << 16
+
+
+def _pieces(content: str) -> Iterator[str]:
+    """content cut just after a "\n" every _PIECE_CHARS characters or so."""
     start = 0
     while start < len(content):
-        end = content.find("\n", start) + 1 or len(content)
+        end = content.find("\n", start + _PIECE_CHARS - 1) + 1 or len(content)
         yield content[start:end]
         start = end
 
@@ -137,11 +143,14 @@ def _lines(content: str) -> Iterator[str]:
 class CsvRows:
     """Rows of CSV text; a quoting error raises CsvParseError naming its line.
 
-    The reader takes the text line by line, so no second copy of it is made.
+    The reader takes the lines of one piece of the text at a time, as
+    io.StringIO would split them, so no second copy of the whole text is
+    made.
     """
 
     def __init__(self, content: str) -> None:
-        self._reader = csv.reader(_lines(content), strict=True)
+        lines = itertools.chain.from_iterable(map(io.StringIO, _pieces(content)))
+        self._reader = csv.reader(lines, strict=True)
 
     @property
     def line_num(self) -> int:

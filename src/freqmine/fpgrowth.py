@@ -74,8 +74,10 @@ class FPTree:
         ancestor is visited once. One bottom-up pass then sums the counts
         and the conditional totals. Ranks below min_support are dropped and
         the rest are linked under their nearest kept ancestor, merging nodes
-        whose kept paths coincide. The result has the same nodes and counts
-        as build_conditional_tree over conditional_pattern_base.
+        whose kept paths coincide. When no reached rank is dropped, nothing
+        can merge, so the ancestors are copied in one pass with no merge
+        lookups. The result has the same nodes and counts as
+        build_conditional_tree over conditional_pattern_base.
         """
         parents, ranks, counts = self.parents, self.ranks, self.counts
         # reached[i] is -1 until the walk reaches node i, then the summed
@@ -108,14 +110,31 @@ class FPTree:
         kept = [total >= min_support for total in totals]
         if not any(kept):
             return FPTree(self.catalog, self.order, [])
+        # Once a node is placed, reached[] holds its image in the projected
+        # tree: its own new node, or its nearest kept ancestor's.
+        reached[0] = 0
+        if kept.count(False) == totals.count(0):
+            # Every rank below min_support went unreached, so every ancestor
+            # is kept and becomes exactly one node: no FP-tree node has two
+            # children of one rank, so no two ancestors can merge.
+            projected = FPTree(self.catalog, self.order, totals)
+            new_parents, new_ranks = projected.parents, projected.ranks
+            new_counts, chains = projected.counts, projected.chains
+            add_parent, add_rank = new_parents.append, new_ranks.append
+            add_count = new_counts.append
+            for child, node in enumerate(reversed(ancestors), 1):
+                node_rank = ranks[node]
+                add_parent(reached[parents[node]])
+                add_rank(node_rank)
+                add_count(reached[node])
+                chains[node_rank].append(child)
+                reached[node] = child
+            return projected
         projected = FPTree(
             self.catalog, self.order, [total if keep else 0 for total, keep in zip(totals, kept)]
         )
         new_parents, new_ranks = projected.parents, projected.ranks
         new_counts, chains = projected.counts, projected.chains
-        # Once a node is placed, reached[] holds its image in the projected
-        # tree: its own new node, or its nearest kept ancestor's.
-        reached[0] = 0
         children: dict[int, int] = {}
         for node in reversed(ancestors):
             node_rank = ranks[node]

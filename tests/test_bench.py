@@ -5,6 +5,7 @@ import statistics
 
 import pytest
 
+from freqmine import bench
 from freqmine.bench import (
     APRIORI,
     CSV_COLUMNS,
@@ -217,6 +218,31 @@ def test_sweep_names_offending_axis_value():
         sweep(BASE, "mean_len", [100.0], repetitions=1, min_support=2)
     with pytest.raises(ValidationError, match="min_support must be an integer"):
         sweep(BASE, "min_support", [2.5], repetitions=1)
+
+
+@pytest.mark.parametrize(
+    "axis, values, threshold",
+    [
+        ("min_support", [5, 7.5], None),
+        ("min_support", [5, float("inf")], None),
+        ("min_support", [5, float("nan")], None),
+        ("n_transactions", [100, 150.5], 3),
+        ("n_transactions", [100, float("inf")], 3),
+        ("mean_len", [2, 50], 3),
+    ],
+)
+def test_sweep_rejects_a_bad_value_before_any_trial(monkeypatch, axis, values, threshold):
+    calls = []
+    real_run_trial = bench.run_trial
+
+    def counted_run_trial(*args):
+        calls.append(args)
+        return real_run_trial(*args)
+
+    monkeypatch.setattr(bench, "run_trial", counted_run_trial)
+    with pytest.raises(ValidationError, match="axis value"):
+        sweep(SynthParams(200, 30, 4.0, 0.5, 0), axis, values, 2, min_support=threshold)
+    assert len(calls) == 0
 
 
 def test_sweep_threshold_axis_rows_ordered_and_consistent():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,6 +317,18 @@ def test_survey_with_aliases_normalizes_each_spelling_once(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet='a,"\n\r\x0b\u2028\ufeff', max_size=30))
 def test_csv_rows_read_like_csv_reader_over_stringio(content):
+    _assert_reads_like_csv_reader_over_stringio(content)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet='a,"\n\r\x0b\u2028\ufeff', max_size=30))
+def test_csv_rows_read_like_csv_reader_over_stringio_one_line_per_piece(content):
+    """Quoted cells that span lines also span the cuts between pieces."""
+    with mock.patch.object(dataset, "_PIECE_CHARS", 1):
+        _assert_reads_like_csv_reader_over_stringio(content)
+
+
+def _assert_reads_like_csv_reader_over_stringio(content):
     reader = csv.reader(io.StringIO(content), strict=True)
     expected, expected_error = [], None
     try:

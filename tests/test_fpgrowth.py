@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 import conftest
 from freqmine.apriori import apriori_mine
+from freqmine.bench import SynthParams, generate_synthetic
 from freqmine.dataset import item_frequencies, parse_transactions
 from freqmine.errors import ValidationError
 from freqmine.fpgrowth import (
@@ -231,6 +232,8 @@ def _assert_projections_match(tree, header, ranked, threshold, catalog):
         expected, expected_header = build_conditional_tree(base, threshold, catalog)
         projected = ranked.project(rank, threshold)
         assert projected.order is ranked.order
+        assert all(parent < node for node, parent in enumerate(projected.parents) if node)
+        assert all(chain == sorted(chain) for chain in projected.chains)
         assert dump_tree(projected) == dump_tree(expected)
         assert projected.node_count == expected.node_count
         totals = {projected.order[r]: t for r, t in enumerate(projected.totals) if t}
@@ -245,6 +248,34 @@ def test_projection_matches_reference_route(case):
     db, threshold = case
     tree, header = build_fptree(db, threshold)
     _assert_projections_match(tree, header, tree, threshold, db.catalog)
+
+
+@settings(max_examples=100, deadline=None)
+@given(conftest.small_dbs())
+def test_projection_at_threshold_one_matches_reference_route(db):
+    """At threshold 1 no rank is ever dropped, so every projection is merge-free."""
+    tree, header = build_fptree(db, 1)
+    _assert_projections_match(tree, header, tree, 1, db.catalog)
+
+
+def test_projection_drops_a_rank_without_merging():
+    # Above z: a-b twice, a-c-d once and d once. c's conditional total is 1,
+    # so it is dropped and d is relinked under a, where no d node is yet.
+    db = parse_transactions("a,b,z\na,b,z\na,c,d,z\nd,z\na,b,c,d\na,b,c,d\nc\n")
+    tree, _ = build_fptree(db, 2)
+    assert [db.catalog.label(item) for item in tree.order] == ["a", "b", "c", "d", "z"]
+    projected = tree.project(tree.order.index(db.catalog.lookup("z")), 2)
+    assert dump_tree(projected) == "a:3\n  b:2\n  d:1\nd:1\n"
+    assert projected.parents == [0, 0, 1, 1, 0]
+    assert projected.totals == [3, 2, 0, 2]
+
+
+def test_tree_counters_are_pinned():
+    stats = TreeStats()
+    db = generate_synthetic(SynthParams(2000, 20, 6.0, 0.5, 1))
+    assert len(fpgrowth_mine(db, 40, stats).support) == 1616
+    assert stats.nodes_created == 22706
+    assert stats.peak_alive_nodes == 6093
 
 
 def test_projection_merges_paths_joined_by_a_dropped_item():
