@@ -61,7 +61,7 @@ class SynthParams:
             raise ValidationError(
                 f"mean_len must be <= n_items, got {self.mean_len} > {self.n_items}"
             )
-        if self.skew < 0:
+        if not self.skew >= 0:
             raise ValidationError(f"skew must be >= 0, got {self.skew}")
 
 

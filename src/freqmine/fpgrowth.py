@@ -6,7 +6,10 @@ plus one chain of node indices and one total per rank, with order mapping
 each rank back to its item. Mining walks the ranks from the least frequent
 upward. Each rank's conditional tree is projected from the shared ancestors
 of its nodes: every ancestor is reached once, its count summed bottom-up
-once, and the infrequent ranks dropped as the tree is built. A projected tree
+once, and the infrequent ranks dropped as the tree is built. The walk marks
+ancestors in one array per tree, allocated by the tree's first projection and
+reused by the rest, with only the touched entries reset after each; a tree
+is therefore not safe to project from two threads at once. A projected tree
 shares its parent's order. conditional_pattern_base and
 build_conditional_tree remain the path-by-path reference route and give the
 same trees. Output matches the levelwise miner exactly.
@@ -43,9 +46,13 @@ class FPTree:
     projected tree shares its parent's order and keeps its ranks, so its
     paths ascend too. build_conditional_tree ranks by its own header and
     keeps each path's order.
+
+    walk is project's scratch array, one entry per node: None until the
+    first projection, then kept with every entry but the root's at -1
+    between projections.
     """
 
-    __slots__ = ("catalog", "order", "parents", "ranks", "counts", "chains", "totals")
+    __slots__ = ("catalog", "order", "parents", "ranks", "counts", "chains", "totals", "walk")
 
     def __init__(self, catalog: ItemCatalog, order: list[ItemId], totals: list[int]) -> None:
         self.catalog = catalog
@@ -55,13 +62,14 @@ class FPTree:
         self.counts = [0]
         self.chains: list[list[int]] = [[] for _ in totals]
         self.totals = totals
+        self.walk: list[int] | None = None
 
     @property
     def node_count(self) -> int:
         return len(self.parents) - 1
 
     # perfbench/trace_cli.py times this call by name as fpgrowth.rank_copy;
-    # it goes when the program reports its own trace (ROADMAP item 5).
+    # it goes when the program reports its own trace (ROADMAP item 3).
     @classmethod
     def from_fptree(cls, tree: FPTree, header: Mapping[ItemId, int]) -> FPTree:
         return tree
@@ -78,87 +86,100 @@ class FPTree:
         can merge, so the ancestors are copied in one pass with no merge
         lookups. The result has the same nodes and counts as
         build_conditional_tree over conditional_pattern_base.
+
+        The walk writes to the tree's walk array, allocated by the first call
+        and reused by later ones; every entry the walk touched is reset before
+        returning. So calls on one tree must not overlap, as they could if two
+        threads projected it at once.
         """
         parents, ranks, counts = self.parents, self.ranks, self.counts
         # reached[i] is -1 until the walk reaches node i, then the summed
         # count of the chain nodes below it: direct children during the walk,
         # all descendants after the bottom-up pass. The root counts as
         # reached so every walk stops there.
-        reached = [-1] * len(parents)
+        reached = self.walk
+        if reached is None:
+            reached = self.walk = [-1] * len(parents)
         reached[0] = 0
         ancestors: list[int] = []
         add_ancestor = ancestors.append
-        for node in self.chains[rank]:
-            above = parents[node]
-            seen = reached[above]
-            if seen >= 0:
-                reached[above] = seen + counts[node]
-                continue
-            reached[above] = counts[node]
-            add_ancestor(above)
-            above = parents[above]
-            while reached[above] < 0:
-                reached[above] = 0
+        try:
+            for node in self.chains[rank]:
+                above = parents[node]
+                seen = reached[above]
+                if seen >= 0:
+                    reached[above] = seen + counts[node]
+                    continue
+                reached[above] = counts[node]
                 add_ancestor(above)
                 above = parents[above]
-        ancestors.sort(reverse=True)
-        totals = [0] * rank
-        for node in ancestors:
-            below = reached[node]
-            reached[parents[node]] += below
-            totals[ranks[node]] += below
-        kept = [total >= min_support for total in totals]
-        if not any(kept):
-            return FPTree(self.catalog, self.order, [])
-        # Once a node is placed, reached[] holds its image in the projected
-        # tree: its own new node, or its nearest kept ancestor's.
-        reached[0] = 0
-        if kept.count(False) == totals.count(0):
-            # Every rank below min_support went unreached, so every ancestor
-            # is kept and becomes exactly one node: no FP-tree node has two
-            # children of one rank, so no two ancestors can merge.
-            projected = FPTree(self.catalog, self.order, totals)
+                while reached[above] < 0:
+                    reached[above] = 0
+                    add_ancestor(above)
+                    above = parents[above]
+            ancestors.sort(reverse=True)
+            totals = [0] * rank
+            for node in ancestors:
+                below = reached[node]
+                reached[parents[node]] += below
+                totals[ranks[node]] += below
+            kept = [total >= min_support for total in totals]
+            if not any(kept):
+                return FPTree(self.catalog, self.order, [])
+            # Once a node is placed, reached[] holds its image in the projected
+            # tree: its own new node, or its nearest kept ancestor's.
+            reached[0] = 0
+            if kept.count(False) == totals.count(0):
+                # Every rank below min_support went unreached, so every ancestor
+                # is kept and becomes exactly one node: no FP-tree node has two
+                # children of one rank, so no two ancestors can merge.
+                projected = FPTree(self.catalog, self.order, totals)
+                new_parents, new_ranks = projected.parents, projected.ranks
+                new_counts, chains = projected.counts, projected.chains
+                add_parent, add_rank = new_parents.append, new_ranks.append
+                add_count = new_counts.append
+                for child, node in enumerate(reversed(ancestors), 1):
+                    node_rank = ranks[node]
+                    add_parent(reached[parents[node]])
+                    add_rank(node_rank)
+                    add_count(reached[node])
+                    chains[node_rank].append(child)
+                    reached[node] = child
+                return projected
+            projected = FPTree(
+                self.catalog,
+                self.order,
+                [total if keep else 0 for total, keep in zip(totals, kept)],
+            )
             new_parents, new_ranks = projected.parents, projected.ranks
             new_counts, chains = projected.counts, projected.chains
-            add_parent, add_rank = new_parents.append, new_ranks.append
-            add_count = new_counts.append
-            for child, node in enumerate(reversed(ancestors), 1):
+            children: dict[int, int] = {}
+            for node in reversed(ancestors):
                 node_rank = ranks[node]
-                add_parent(reached[parents[node]])
-                add_rank(node_rank)
-                add_count(reached[node])
-                chains[node_rank].append(child)
-                reached[node] = child
-            return projected
-        projected = FPTree(
-            self.catalog, self.order, [total if keep else 0 for total, keep in zip(totals, kept)]
-        )
-        new_parents, new_ranks = projected.parents, projected.ranks
-        new_counts, chains = projected.counts, projected.chains
-        children: dict[int, int] = {}
-        for node in reversed(ancestors):
-            node_rank = ranks[node]
-            parent = reached[parents[node]]
-            if kept[node_rank]:
-                # node_rank < rank, so the key names one (parent, rank) pair.
-                key = parent * rank + node_rank
-                child = children.get(key)
-                if child is None:
-                    child = children[key] = len(new_parents)
-                    new_parents.append(parent)
-                    new_ranks.append(node_rank)
-                    new_counts.append(reached[node])
-                    chains[node_rank].append(child)
+                parent = reached[parents[node]]
+                if kept[node_rank]:
+                    # node_rank < rank, so the key names one (parent, rank) pair.
+                    key = parent * rank + node_rank
+                    child = children.get(key)
+                    if child is None:
+                        child = children[key] = len(new_parents)
+                        new_parents.append(parent)
+                        new_ranks.append(node_rank)
+                        new_counts.append(reached[node])
+                        chains[node_rank].append(child)
+                    else:
+                        new_counts[child] += reached[node]
+                    reached[node] = child
                 else:
-                    new_counts[child] += reached[node]
-                reached[node] = child
-            else:
-                reached[node] = parent
-        return projected
+                    reached[node] = parent
+            return projected
+        finally:
+            for node in ancestors:
+                reached[node] = -1
 
 
 # perfbench/trace_cli.py patches the tree class under this name; the alias
-# goes when the program reports its own trace (ROADMAP item 5).
+# goes when the program reports its own trace (ROADMAP item 3).
 RankedTree = FPTree
 
 

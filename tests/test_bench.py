@@ -32,6 +32,7 @@ from freqmine.errors import ValidationError
         {"mean_len": -2.0},
         {"mean_len": 9.0, "n_items": 8},
         {"skew": -0.1},
+        {"skew": float("nan")},
     ],
 )
 def test_synth_params_rejects_bad_shapes(kwargs):

@@ -605,6 +605,15 @@ def test_bench_invalid_shape_is_data_error(capsys):
     assert "mean_len" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, message", [("--mean-len", "mean_len must be > 0"), ("--skew", "skew must be >= 0")]
+)
+def test_bench_nan_shape_is_data_error(option, message, capsys):
+    argv = ["bench", option, "nan", "--axis", "n_transactions", "--values", "50"]
+    assert run_cli(argv + ["--min-support", "2", "--reps", "1"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_version_and_help_exit_zero(capsys):
     assert run_cli(["--version"]) == 0
     assert capsys.readouterr().out.strip() == "freqmine 0.1.0"

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
 from freqmine.apriori import apriori_mine
 from freqmine.bench import SynthParams, generate_synthetic
-from freqmine.dataset import item_frequencies, parse_transactions
+from freqmine.dataset import item_frequencies, parse_transactions, serialize_transactions
 from freqmine.errors import ValidationError
 from freqmine.fpgrowth import (
     ConditionalPatternBase,
@@ -286,3 +288,50 @@ def test_projection_merges_paths_joined_by_a_dropped_item():
     projected = tree.project(tree.order.index(db.catalog.lookup("x")), 2)
     assert dump_tree(projected) == "a:2\n  c:2\n"
     assert projected.node_count == 2
+
+
+@st.composite
+def dbs_reaching_every_projection_route(draw):
+    """A random database plus rows on items of their own, with a threshold.
+
+    No random row holds an added item, so the added rows make paths of their
+    own. At threshold m >= 2 the added items rank ga, gc, gz, gb: ga and gc
+    project to empty trees, gb is copied straight, and gz drops gc (total 1)
+    and takes the merge route.
+    """
+    threshold = draw(st.integers(min_value=2, max_value=5))
+    random_rows = serialize_transactions(draw(conftest.small_dbs()))
+    added = ["ga,gb,gz"] * threshold + ["ga,gc,gz"] + ["gc"] * threshold
+    return parse_transactions(random_rows + "\n".join(added) + "\n"), threshold
+
+
+def _projection_route(tree, header, rank, threshold):
+    """Which of project's three returns the rank's projection takes."""
+    totals = Counter()
+    for path, count in conditional_pattern_base(tree, header, tree.order[rank]).paths:
+        for item in path:
+            totals[item] += count
+    if all(total < threshold for total in totals.values()):
+        return "empty"
+    if all(total >= threshold for total in totals.values()):
+        return "straight"
+    return "merge"
+
+
+@settings(max_examples=60, deadline=None)
+@given(dbs_reaching_every_projection_route())
+def test_repeated_projections_of_one_tree_match_a_fresh_tree(case):
+    """project resets the tree's reused walk array on every return path."""
+    db, threshold = case
+    tree, header = build_fptree(db, threshold)
+    routes = Counter()
+    ascending = range(len(tree.order))
+    for ranks in (ascending, reversed(ascending)):
+        for rank in ranks:
+            projected = tree.project(rank, threshold)
+            expected = build_fptree(db, threshold)[0].project(rank, threshold)
+            assert dump_tree(projected) == dump_tree(expected)
+            assert projected.totals == expected.totals
+            assert projected.node_count == expected.node_count
+            routes[_projection_route(tree, header, rank, threshold)] += 1
+    assert set(routes) == {"empty", "straight", "merge"}

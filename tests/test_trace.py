@@ -90,3 +90,11 @@ def test_trace_tree_counters_match_the_miner(tmp_path):
     fpgrowth_mine(parse_transactions(DB5_TEXT), 3, stats)
     assert trace["counts"]["fpgrowth.nodes_created"] == stats.nodes_created
     assert trace["counts"]["fpgrowth.peak_alive_nodes"] == stats.peak_alive_nodes
+
+
+def test_trace_counts_one_projection_per_itemset(tmp_path):
+    # _mine calls FPTree.project once per frequent itemset, so a projection
+    # made some other way fails here instead of making the metric read low.
+    trace = _trace(tmp_path, COMMANDS["mine_fpgrowth"][0])
+    mined = fpgrowth_mine(parse_transactions(DB5_TEXT), 3)
+    assert trace["counts"]["fpgrowth.projections"] == len(mined.support) == 6
