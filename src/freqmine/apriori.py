@@ -2,10 +2,11 @@
 
 Candidates of size k+1 are joined from frequent k-itemsets sharing a prefix,
 pruned by downward closure, then counted against the database. Counting is
-vertical: each item's tidset is one int bitset over the transactions, and a
-candidate's support is the population count of the AND of its items'
-tidsets. Level sets are materialized per level and every candidate is counted
-the same way, so each candidate tested costs one AND per item after the first.
+vertical: each item's tidset is one int bitset over the transactions, built
+once per mine at the first counted level, and a candidate's support is the
+population count of the AND of its items' tidsets. Level sets are
+materialized per level and every candidate is counted the same way, so each
+candidate tested costs one AND per item after the first.
 """
 
 from __future__ import annotations
@@ -146,12 +147,16 @@ def _tidsets(db: TransactionDb) -> list[int]:
     return [int.from_bytes(row, "little") for row in rows]
 
 
-def count_support(db: TransactionDb, candidates: Iterable[Itemset]) -> dict[Itemset, int]:
+def count_support(
+    db: TransactionDb, candidates: Iterable[Itemset], tidsets: list[int] | None = None
+) -> dict[Itemset, int]:
     """Support count of every candidate, including zeros.
 
     A candidate's support is the population count of the AND of its items'
     tidsets. Candidates may mix sizes; the empty itemset is held by every
     transaction. Handles outside the catalog raise ContractViolationError.
+    tidsets, when given, must be _tidsets(db); apriori_mine passes them so
+    that they are built once per mine, not once per level.
     """
     ordered = sorted(candidates)
     catalog_size = len(db.catalog)
@@ -161,7 +166,8 @@ def count_support(db: TransactionDb, candidates: Iterable[Itemset]) -> dict[Item
                 raise ContractViolationError(
                     f"item handle {item} outside catalog of size {catalog_size}"
                 )
-    tidsets = _tidsets(db)
+    if tidsets is None:
+        tidsets = _tidsets(db)
     counts: dict[Itemset, int] = {}
     for candidate in ordered:
         bits = tidsets[candidate[0]] if candidate else (1 << db.n) - 1
@@ -188,12 +194,15 @@ def apriori_mine(
     stats.level_candidates.append((1, len(counts)))
     level = threshold_singletons(counts, min_support)
     support = dict(level)
+    tidsets: list[int] | None = None
     while level:
         candidates = prune_candidates(join_candidates(level), level)
         if not candidates:
             break
         stats.level_candidates.append((len(next(iter(candidates))), len(candidates)))
-        tallies = count_support(db, candidates)
+        if tidsets is None:
+            tidsets = _tidsets(db)
+        tallies = count_support(db, candidates, tidsets)
         level = {itemset: count for itemset, count in tallies.items() if count >= min_support}
         support.update(level)
     return FrequentItemsets(support, db.n)

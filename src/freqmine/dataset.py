@@ -183,11 +183,18 @@ def parse_alias_csv(content: str) -> AliasMap:
     return aliases
 
 
-def _intern_labels(catalog: ItemCatalog, raw_labels: list[str]) -> Itemset:
-    """Resolve, dedupe, and sort one row's worth of labels; dropped ones left out."""
+def _intern_labels(
+    catalog: ItemCatalog, raw_labels: list[str], shared: dict[Itemset, Itemset]
+) -> Itemset:
+    """Resolve, dedupe, and sort one row's worth of labels; dropped ones left out.
+
+    shared holds the first tuple made for each distinct itemset of one parse,
+    so equal rows return the same object and the database keeps one copy.
+    """
     seen = set(map(catalog.resolve, raw_labels))
     seen.discard(DROPPED)
-    return tuple(sorted(seen))
+    itemset = tuple(sorted(seen))
+    return shared.setdefault(itemset, itemset)
 
 
 def parse_transactions(content: str, aliases: AliasMap | None = None) -> TransactionDb:
@@ -199,17 +206,33 @@ def parse_transactions(content: str, aliases: AliasMap | None = None) -> Transac
     errors raise CsvParseError with the offending line number.
     """
     catalog = ItemCatalog(aliases)
-    transactions = [_intern_labels(catalog, row) for row in CsvRows(content)]
+    shared: dict[Itemset, Itemset] = {}
+    transactions = [_intern_labels(catalog, row, shared) for row in CsvRows(content)]
     return TransactionDb(catalog, tuple(transactions))
 
 
+class _LineEcho:
+    """A csv.writer target whose write returns the row's text, which writerow passes on."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
 def serialize_transactions(db: TransactionDb) -> str:
-    """Render the database back to CSV, one row per transaction, labels in handle order."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    """Render the database back to CSV, one row per transaction, labels in handle order.
+
+    Each distinct transaction is rendered once; equal ones reuse its line.
+    """
+    label = db.catalog.labels.__getitem__
+    render = csv.writer(_LineEcho(), lineterminator="\n").writerow
+    lines: dict[Itemset, str] = {}
+    rows: list[str] = []
     for transaction in db.transactions:
-        writer.writerow(db.catalog.labels_of(transaction))
-    return buffer.getvalue()
+        line = lines.get(transaction)
+        if line is None:
+            line = lines[transaction] = render(map(label, transaction))
+        rows.append(line)
+    return "".join(rows)
 
 
 def item_frequencies(db: TransactionDb) -> dict[ItemId, int]:
@@ -303,6 +326,7 @@ def parse_survey(
     missing_key = normalize_label(schema.missing_age_label)
     catalog = ItemCatalog(aliases)
     transactions: list[Itemset] = []
+    shared: dict[Itemset, Itemset] = {}
     # Bucket label of each distinct age cell; a bad cell raises before it is stored.
     buckets: dict[str, str] = {}
     for row in rows:
@@ -314,5 +338,5 @@ def parse_survey(
             bucket = buckets[age_cell] = bucket_age(age, schema.missing_age_label)
         labels = [bucket]
         labels.extend(impact_cell.split(schema.multiselect_delimiter))
-        transactions.append(_intern_labels(catalog, labels))
+        transactions.append(_intern_labels(catalog, labels, shared))
     return TransactionDb(catalog, tuple(transactions))

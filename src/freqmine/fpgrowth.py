@@ -269,18 +269,19 @@ def build_fptree(db: TransactionDb, min_support: int) -> tuple[FPTree, dict[Item
     The header maps exactly the items with support >= min_support to their
     totals, in header order, which is the tree's rank order; every frequent
     item appears in at least one transaction, so every rank has a chain.
-    Equal transactions are inserted once with their multiplicity, in
-    ascending order of their rank tuples, which numbers the nodes depth-first.
+    Equal transactions are counted first and each is ranked once; transactions
+    whose frequent ranks coincide are then inserted once with their summed
+    multiplicity, in ascending order of their rank tuples, which numbers the
+    nodes depth-first.
     """
     if min_support < 1:
         raise ValidationError(f"min_support must be >= 1, got {min_support}")
     totals = item_frequencies(db)
     order = _frequent_order(totals, min_support, db.catalog)
     rank = {item: position for position, item in enumerate(order)}
-    folded = Counter(
-        tuple(sorted([rank[item] for item in transaction if item in rank]))
-        for transaction in db.transactions
-    )
+    folded: Counter[tuple[int, ...]] = Counter()
+    for transaction, count in Counter(db.transactions).items():
+        folded[tuple(sorted([rank[item] for item in transaction if item in rank]))] += count
     del folded[()]
     header = {item: totals[item] for item in order}
     return _build(db.catalog, order, list(header.values()), sorted(folded.items())), header

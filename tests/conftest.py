@@ -51,6 +51,33 @@ def small_dbs(draw, max_items: int = 8, max_transactions: int = 25) -> Transacti
 
 
 @st.composite
+def dbs_with_repeated_rows(draw, max_rows: int = 40) -> TransactionDb:
+    """A small_dbs() database's rows drawn with repeats, in drawn order.
+
+    A row drawn twice is the same tuple object both times; see unshared.
+    """
+    db = draw(small_dbs())
+    if not db.n:
+        return db
+    picks = draw(st.lists(st.integers(0, db.n - 1), max_size=max_rows))
+    return TransactionDb(db.catalog, tuple(db.transactions[i] for i in picks))
+
+
+def unshared(db: TransactionDb) -> TransactionDb:
+    """The same database with every non-empty transaction a tuple object of its own."""
+    return TransactionDb(db.catalog, tuple(tuple(list(t)) for t in db.transactions))
+
+
+def render_rows(db: TransactionDb) -> str:
+    """Each transaction's labels written by csv.writer, one row at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for transaction in db.transactions:
+        writer.writerow(db.catalog.labels_of(transaction))
+    return buffer.getvalue()
+
+
+@st.composite
 def dbs_with_threshold(draw, max_items: int = 8, max_transactions: int = 25):
     """A database plus a threshold spanning under-, at-, and over-subscribed."""
     db = draw(small_dbs(max_items=max_items, max_transactions=max_transactions))

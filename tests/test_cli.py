@@ -320,6 +320,33 @@ def test_recode_ignores_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out == "18-24,Anxiety\n"
 
 
+LINE_ENDING_VARIANTS = {
+    "lf": lambda data: data,
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "bom_crlf": lambda data: b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["recode"], ["mine", "--min-support", "2"]], ids=["recode", "mine"]
+)
+def test_line_endings_and_byte_order_mark_do_not_change_output(tmp_path, command):
+    """CRLF and BOM+CRLF copies of the LF survey sample write the LF output's bytes."""
+    data = (DATA_DIR / "survey_sample.csv").read_bytes()
+    assert b"\r" not in data
+    name, *options = command
+    outputs = {}
+    for variant, convert in LINE_ENDING_VARIANTS.items():
+        source = tmp_path / f"{variant}.csv"
+        source.write_bytes(convert(data))
+        output = tmp_path / f"{variant}.out"
+        assert run_cli([name, str(source), *options, "--output", str(output)]) == 0
+        outputs[variant] = output.read_bytes()
+    assert outputs["lf"]
+    assert outputs["crlf"] == outputs["lf"]
+    assert outputs["bom_crlf"] == outputs["lf"]
+
+
 def test_recode_custom_columns_and_delimiter(tmp_path, capsys):
     path = tmp_path / "survey.csv"
     path.write_text("years,effects\n20,Anxiety|Panic\n", encoding="utf-8")

@@ -114,6 +114,50 @@ def test_serialize_parse_round_trip(db):
     assert again == db
 
 
+def _one_object_per_distinct(transactions) -> bool:
+    return len({id(t) for t in transactions}) == len(set(transactions))
+
+
+@settings(max_examples=100)
+@given(conftest.dbs_with_repeated_rows(), st.booleans())
+def test_serialize_renders_each_row_as_csv_writer_does(db, separate):
+    """One line per distinct transaction, reused for its repeats, quoting included."""
+    if separate:
+        db = conftest.unshared(db)
+    assert serialize_transactions(db) == conftest.render_rows(db)
+
+
+def test_serialize_repeated_quoted_rows():
+    db = parse_transactions('"comma, label",x\n"quote ""label"""\nx,"comma, label"\ny,x\n')
+    assert serialize_transactions(db) == (
+        '"comma, label",x\n"quote ""label"""\n"comma, label",x\nx,y\n'
+    )
+
+
+@settings(max_examples=100)
+@given(conftest.dbs_with_repeated_rows())
+def test_parse_transactions_shares_one_tuple_per_distinct_itemset(db):
+    parsed = parse_transactions(conftest.render_rows(db))
+    assert parsed.n == db.n
+    assert _one_object_per_distinct(parsed.transactions)
+
+
+@settings(max_examples=100)
+@given(conftest.dbs_with_repeated_rows(), st.data())
+def test_parse_survey_shares_one_tuple_per_distinct_itemset(db, data):
+    ages = data.draw(
+        st.lists(st.sampled_from(["16", "17", "30", ""]), min_size=db.n, max_size=db.n)
+    )
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["age", "impacts"])
+    for age, transaction in zip(ages, db.transactions):
+        writer.writerow([age, ";".join(db.catalog.labels_of(transaction))])
+    parsed = parse_survey(buffer.getvalue(), SurveySchema())
+    assert parsed.n == db.n
+    assert _one_object_per_distinct(parsed.transactions)
+
+
 def test_item_frequencies_counts_presence(db5):
     counts = {db5.catalog.label(i): c for i, c in item_frequencies(db5).items()}
     assert counts == {"a": 4, "b": 4, "c": 4, "d": 1}

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 import conftest
 from freqmine.apriori import apriori_mine
 from freqmine.bench import SynthParams, generate_synthetic
-from freqmine.dataset import item_frequencies, parse_transactions, serialize_transactions
+from freqmine.dataset import (
+    TransactionDb,
+    item_frequencies,
+    parse_transactions,
+    serialize_transactions,
+)
 from freqmine.errors import ValidationError
 from freqmine.fpgrowth import (
     ConditionalPatternBase,
@@ -199,6 +204,26 @@ def test_build_fptree_matches_unit_count_pattern_base(case):
     expected, expected_header = build_conditional_tree(base, threshold, db.catalog)
     assert dump_tree(tree) == dump_tree(expected)
     assert tree.node_count == expected.node_count
+    assert list(header.items()) == list(expected_header.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(conftest.dbs_with_repeated_rows(), st.integers(min_value=1, max_value=6))
+def test_build_fptree_folds_equal_transactions_by_value(db, threshold):
+    """Equal transactions build one tree whether or not they share a tuple."""
+    shared: dict = {}
+    one_each = TransactionDb(
+        db.catalog, tuple(shared.setdefault(t, t) for t in db.transactions)
+    )
+    tree, header = build_fptree(conftest.unshared(db), threshold)
+    expected, expected_header = build_fptree(one_each, threshold)
+    assert dump_tree(tree) == dump_tree(expected)
+    assert (tree.parents, tree.ranks, tree.counts) == (
+        expected.parents,
+        expected.ranks,
+        expected.counts,
+    )
+    assert tree.totals == expected.totals
     assert list(header.items()) == list(expected_header.items())
 
 
