@@ -13,8 +13,9 @@ import csv
 import io
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CsvParseError, SchemaError, ValidationError
 
@@ -130,12 +131,18 @@ class TransactionDb:
 # characters, so only one piece is ever copied at a time.
 _PIECE_CHARS = 1 << 16
 
+# A line end as io.StringIO(newline="") finds it; "\r\n" is one.
+_LINE_END = re.compile(r"\r\n?|\n")
+
+T = TypeVar("T")
+
 
 def _pieces(content: str) -> Iterator[str]:
-    """content cut just after a "\n" every _PIECE_CHARS characters or so."""
+    """content cut just after a line end every _PIECE_CHARS characters or so."""
     start = 0
     while start < len(content):
-        end = content.find("\n", start + _PIECE_CHARS - 1) + 1 or len(content)
+        found = _LINE_END.search(content, start + _PIECE_CHARS - 1)
+        end = found.end() if found else len(content)
         yield content[start:end]
         start = end
 
@@ -143,23 +150,76 @@ def _pieces(content: str) -> Iterator[str]:
 class CsvRows:
     """Rows of CSV text; a quoting error raises CsvParseError naming its line.
 
-    The reader takes the lines of one piece of the text at a time, as
-    io.StringIO would split them, so no second copy of the whole text is
-    made.
+    Lines end at "\r", "\n" or "\r\n" and are not translated, as the csv
+    module asks of a file opened with newline="". The reader takes the lines
+    of one piece of the text at a time, so no second copy of the whole text
+    is made. Read the rows once, either by iterating or through converted().
     """
 
     def __init__(self, content: str) -> None:
-        lines = itertools.chain.from_iterable(map(io.StringIO, _pieces(content)))
-        self._reader = csv.reader(lines, strict=True)
+        self._lines = itertools.chain.from_iterable(
+            io.StringIO(piece, newline="") for piece in _pieces(content)
+        )
+        # The line that converted() takes from the text and hands to the reader.
+        self._ahead: list[str] = []
+        self._reader = csv.reader(
+            itertools.chain.from_iterable(self._runs()), strict=True
+        )
+        self._memo_lines = 0
+
+    def _runs(self) -> Iterator[Iterable[str]]:
+        """The reader's lines, in runs.
+
+        When the rows are iterated, every line is in one run. Under
+        converted(), the line handed over is a run of its own, and so is
+        each line that continues its row.
+        """
+        ahead, lines = self._ahead, self._lines
+        if not ahead:
+            yield lines
+            return
+        while True:
+            line = ahead.pop() if ahead else next(lines, None)
+            if line is None:
+                return
+            yield (line,)
 
     @property
     def line_num(self) -> int:
         """Physical line on which the last row read ended."""
-        return self._reader.line_num
+        return self._reader.line_num + self._memo_lines
 
     def __iter__(self) -> Iterator[list[str]]:
         try:
             yield from self._reader
+        except csv.Error as exc:
+            raise CsvParseError(f"line {self.line_num}: {exc}") from exc
+
+    def converted(self, convert: Callable[[list[str]], T]) -> Iterator[T]:
+        """convert(row) for each row, computed once per distinct one-line row.
+
+        Each physical line is looked up in a memo, local to this call, before
+        the reader sees it. A line whose row ended on that same line stores
+        its value there, and a later equal line yields that value without
+        being read. A line that starts a row spanning several lines is never
+        stored, and the lines that continue such a row are read, never looked
+        up. Lines answered by the memo still count toward line_num.
+        """
+        memo: dict[str, T] = {}
+        missing = object()
+        reader, ahead = self._reader, self._ahead
+        try:
+            for line in self._lines:
+                value = memo.get(line, missing)
+                if value is missing:
+                    start = reader.line_num
+                    ahead.append(line)
+                    value = convert(next(reader))
+                    if reader.line_num == start + 1:
+                        memo[line] = value
+                else:
+                    self._memo_lines += 1
+                yield value
         except csv.Error as exc:
             raise CsvParseError(f"line {self.line_num}: {exc}") from exc
 
@@ -204,10 +264,20 @@ def parse_transactions(content: str, aliases: AliasMap | None = None) -> Transac
     a row collapse to one item, and rows may have differing field counts. An
     empty row becomes an empty transaction and still counts toward n. Quoting
     errors raise CsvParseError with the offending line number.
+
+    Each distinct row is parsed and resolved once: a memo, local to this
+    call and keyed by the physical line with its line end, gives a line
+    already read as a complete one-line row that row's shared itemset (see
+    CsvRows.converted). A line that starts a multi-line quoted cell is never
+    stored, since the same line can start different rows, and the lines
+    that continue such a row are parsed as part of it. The memo holds one
+    string per distinct line and is freed on return.
     """
     catalog = ItemCatalog(aliases)
     shared: dict[Itemset, Itemset] = {}
-    transactions = [_intern_labels(catalog, row, shared) for row in CsvRows(content)]
+    transactions = CsvRows(content).converted(
+        lambda row: _intern_labels(catalog, row, shared)
+    )
     return TransactionDb(catalog, tuple(transactions))
 
 
@@ -239,12 +309,14 @@ def item_frequencies(db: TransactionDb) -> dict[ItemId, int]:
     """Count, per item, the number of transactions containing it.
 
     Presence counts, not multiplicity; transactions are already duplicate-free.
-    Items never seen are absent from the result.
+    Items never seen are absent from the result. Equal transactions are
+    counted together and each distinct one is walked once; items keep the
+    order in which the transactions first name them.
     """
     counts: dict[ItemId, int] = {}
-    for transaction in db.transactions:
+    for transaction, times in Counter(db.transactions).items():
         for item in transaction:
-            counts[item] = counts.get(item, 0) + 1
+            counts[item] = counts.get(item, 0) + times
     return counts
 
 

@@ -324,6 +324,7 @@ LINE_ENDING_VARIANTS = {
     "lf": lambda data: data,
     "crlf": lambda data: data.replace(b"\n", b"\r\n"),
     "bom_crlf": lambda data: b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n"),
+    "cr": lambda data: data.replace(b"\n", b"\r"),
 }
 
 
@@ -331,7 +332,7 @@ LINE_ENDING_VARIANTS = {
     "command", [["recode"], ["mine", "--min-support", "2"]], ids=["recode", "mine"]
 )
 def test_line_endings_and_byte_order_mark_do_not_change_output(tmp_path, command):
-    """CRLF and BOM+CRLF copies of the LF survey sample write the LF output's bytes."""
+    """CRLF, BOM+CRLF and bare-CR copies of the LF survey sample write the LF output."""
     data = (DATA_DIR / "survey_sample.csv").read_bytes()
     assert b"\r" not in data
     name, *options = command
@@ -345,6 +346,7 @@ def test_line_endings_and_byte_order_mark_do_not_change_output(tmp_path, command
     assert outputs["lf"]
     assert outputs["crlf"] == outputs["lf"]
     assert outputs["bom_crlf"] == outputs["lf"]
+    assert outputs["cr"] == outputs["lf"]
 
 
 def test_recode_custom_columns_and_delimiter(tmp_path, capsys):

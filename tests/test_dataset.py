@@ -163,6 +163,16 @@ def test_item_frequencies_counts_presence(db5):
     assert counts == {"a": 4, "b": 4, "c": 4, "d": 1}
 
 
+@settings(max_examples=100)
+@given(conftest.dbs_with_repeated_rows())
+def test_item_frequencies_counts_every_row_in_first_seen_order(db):
+    expected: dict[int, int] = {}
+    for transaction in db.transactions:
+        for item in transaction:
+            expected[item] = expected.get(item, 0) + 1
+    assert list(item_frequencies(db).items()) == list(expected.items())
+
+
 def test_item_frequencies_empty_db():
     assert item_frequencies(parse_transactions("")) == {}
 
@@ -373,7 +383,7 @@ def test_csv_rows_read_like_csv_reader_over_stringio_one_line_per_piece(content)
 
 
 def _assert_reads_like_csv_reader_over_stringio(content):
-    reader = csv.reader(io.StringIO(content), strict=True)
+    reader = csv.reader(io.StringIO(content, newline=""), strict=True)
     expected, expected_error = [], None
     try:
         expected.extend(reader)
@@ -386,6 +396,77 @@ def _assert_reads_like_csv_reader_over_stringio(content):
     except CsvParseError as exc:
         error = str(exc)
     assert (got, error, rows.line_num) == (expected, expected_error, reader.line_num)
+
+
+def test_bare_cr_line_ends_split_rows_and_quoted_line_breaks_stay():
+    assert list(CsvRows('a,b\r"x\r\ny","p\rq"\rc')) == [
+        ["a", "b"],
+        ["x\r\ny", "p\rq"],
+        ["c"],
+    ]
+    assert parse_transactions("a,b\rc\r") == parse_transactions("a,b\nc\n")
+
+
+# Texts made of a few lines, each used any number of times, so that lines
+# repeat as one-line rows, as parts of multi-line rows, and as both.
+_TEXTS_OF_REPEATED_LINES = st.lists(
+    st.text(alphabet='aA ,"\n\r', max_size=8), min_size=1, max_size=4
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=12).map("".join))
+
+
+@pytest.mark.parametrize("piece_chars", [dataset._PIECE_CHARS, 1])
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS_OF_REPEATED_LINES)
+def test_parse_transactions_reads_like_csv_reader_row_by_row(piece_chars, content):
+    """The line memo changes nothing: transactions, labels, errors and their lines."""
+    with mock.patch.object(dataset, "_PIECE_CHARS", piece_chars):
+        try:
+            db = parse_transactions(content)
+        except CsvParseError as exc:
+            got = (None, None, str(exc))
+        else:
+            got = (db.transactions, db.catalog.labels, None)
+    assert got == _parse_row_by_row(content)
+
+
+def _parse_row_by_row(content):
+    """(transactions, labels, error) with csv.reader parsing every row of content."""
+    catalog = ItemCatalog()
+    reader = csv.reader(io.StringIO(content, newline=""), strict=True)
+    transactions = []
+    try:
+        for row in reader:
+            handles = set(map(catalog.resolve, row))
+            handles.discard(dataset.DROPPED)
+            transactions.append(tuple(sorted(handles)))
+    except csv.Error as exc:
+        return None, None, f"line {reader.line_num}: {exc}"
+    return tuple(transactions), catalog.labels, None
+
+
+def test_converted_calls_convert_once_per_distinct_one_line_row():
+    calls = []
+
+    def convert(row):
+        calls.append(row)
+        return len(calls)
+
+    rows = CsvRows('a,b\nc\na,b\r\na,b\n"x\ny"\n"x\ny"\n')
+    assert list(rows.converted(convert)) == [1, 2, 3, 1, 4, 5]
+    assert calls == [["a", "b"], ["c"], ["a", "b"], ["x\ny"], ["x\ny"]]
+    assert rows.line_num == 8
+
+
+def test_line_starting_two_different_multiline_rows_gives_both():
+    db = parse_transactions('a,"b\nc"\na,"b\nd"\n')
+    assert db.catalog.labels == ("a", "b\nc", "b\nd")
+    assert db.transactions == ((0, 1), (0, 2))
+
+
+def test_quoting_error_after_memoized_lines_names_its_physical_line():
+    content = 'a,b\na,"x\ny"\na,b\na,b\nc,"d"e\n'
+    with pytest.raises(CsvParseError, match="^line 6: "):
+        parse_transactions(content)
 
 
 def test_parse_survey_quoting_error_in_header_names_the_line():
