@@ -18,7 +18,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .dataset import CsvRows, ItemCatalog, ItemId, Itemset, TransactionDb, item_frequencies
+from .dataset import (
+    DROPPED,
+    CsvRows,
+    ItemCatalog,
+    ItemId,
+    Itemset,
+    TransactionDb,
+    item_frequencies,
+)
 from .errors import ContractViolationError, ValidationError
 
 CandidateSet = set[Itemset]
@@ -209,8 +217,15 @@ def apriori_mine(
 
 
 def sorted_itemsets(freq: FrequentItemsets, catalog: ItemCatalog) -> list[Itemset]:
-    """Itemsets ordered by size, then lexicographically by display labels."""
-    return sorted(freq.support, key=lambda s: (len(s), catalog.labels_of(s)))
+    """Itemsets ordered by size, then lexicographically by display labels.
+
+    The sort key is one flat tuple of ints, the size followed by each item's
+    rank in label order (ItemCatalog.label_ranks). Display labels are unique,
+    so this is the order of (size, labels) without building a label tuple
+    per itemset.
+    """
+    rank = catalog.label_ranks().__getitem__
+    return sorted(freq.support, key=lambda s: (len(s), *map(rank, s)))
 
 
 def check_joinable(catalog: ItemCatalog) -> None:
@@ -233,12 +248,15 @@ def write_frequent_csv(freq: FrequentItemsets, catalog: ItemCatalog) -> str:
     A label containing '|' raises ValidationError before anything is rendered.
     """
     check_joinable(catalog)
+    labels = catalog.labels.__getitem__
+    support = freq.support
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(FREQUENT_CSV_HEADER)
-    for itemset in sorted_itemsets(freq, catalog):
-        labels = LABEL_JOINER.join(catalog.labels_of(itemset))
-        writer.writerow([labels, freq.support[itemset]])
+    writer.writerows(
+        (LABEL_JOINER.join(map(labels, itemset)), support[itemset])
+        for itemset in sorted_itemsets(freq, catalog)
+    )
     return buffer.getvalue()
 
 
@@ -246,13 +264,20 @@ def read_support_csv(content: str) -> tuple[FrequentItemsets, ItemCatalog]:
     """Parse an itemset,count CSV into a support table and its catalog.
 
     The header row is optional ("itemset,support" or "itemset,count"). Labels
-    within a row are '|'-separated. When no database size accompanies the
-    counts, n is taken as the largest count seen. Conflicting duplicate rows
-    raise ValidationError, naming the physical line on which the row ends;
+    within a row are '|'-separated; blank parts are skipped, and a row whose
+    itemset cell has no label is skipped when all its cells are blank and
+    rejected otherwise. When no database size accompanies the counts, n is
+    taken as the largest count seen. Conflicting duplicate rows raise
+    ValidationError, naming the physical line on which the row ends;
     identical duplicates collapse.
+
+    Each distinct label spelling is interned once per call: a dict local to
+    the call maps it to its handle, or to DROPPED when it is blank.
     """
     catalog = ItemCatalog()
     support: dict[Itemset, int] = {}
+    handles: dict[str, ItemId] = {}
+    handle_of = handles.__getitem__
     rows = CsvRows(content)
     for index, row in enumerate(rows):
         if index == 0 and tuple(cell.strip().casefold() for cell in row[:2]) in {
@@ -260,12 +285,18 @@ def read_support_csv(content: str) -> tuple[FrequentItemsets, ItemCatalog]:
             ("itemset", "count"),
         }:
             continue
-        if not any(cell.strip() for cell in row):
+        parts = row[0].split(LABEL_JOINER) if row else []
+        try:
+            items = set(map(handle_of, parts))
+        except KeyError:
+            handles.update(zip(parts, map(catalog.resolve, parts)))
+            items = set(map(handle_of, parts))
+        items.discard(DROPPED)
+        if not items and not any(cell.strip() for cell in row):
             continue
         if len(row) < 2:
             raise ValidationError(f"support line {rows.line_num}: expected itemset,count")
-        labels = [part for part in row[0].split(LABEL_JOINER) if part.strip()]
-        if not labels:
+        if not items:
             raise ValidationError(f"support line {rows.line_num}: empty itemset")
         try:
             count = int(row[1])
@@ -275,12 +306,11 @@ def read_support_csv(content: str) -> tuple[FrequentItemsets, ItemCatalog]:
             ) from None
         if count < 1:
             raise ValidationError(f"support line {rows.line_num}: count must be >= 1")
-        itemset = tuple(sorted({catalog.intern(label) for label in labels}))
-        previous = support.get(itemset)
-        if previous is not None and previous != count:
+        itemset = tuple(sorted(items))
+        previous = support.setdefault(itemset, count)
+        if previous != count:
             raise ValidationError(
                 f"support line {rows.line_num}: conflicting counts for {row[0]!r}"
             )
-        support[itemset] = count
     n = max(support.values(), default=0)
     return FrequentItemsets(support, n), catalog

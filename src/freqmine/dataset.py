@@ -105,6 +105,18 @@ class ItemCatalog:
     def labels_of(self, itemset: Itemset) -> tuple[str, ...]:
         return tuple(self._labels[i] for i in itemset)
 
+    def label_ranks(self) -> list[int]:
+        """rank[h] is handle h's position in display-label order.
+
+        Display labels are unique, so comparing two itemsets' rank tuples
+        orders them as comparing their label tuples does.
+        """
+        labels = self._labels
+        rank = [0] * len(labels)
+        for position, handle in enumerate(sorted(range(len(labels)), key=labels.__getitem__)):
+            rank[handle] = position
+        return rank
+
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(self._labels)
@@ -305,16 +317,22 @@ def serialize_transactions(db: TransactionDb) -> str:
     return "".join(rows)
 
 
-def item_frequencies(db: TransactionDb) -> dict[ItemId, int]:
+def item_frequencies(
+    db: TransactionDb, folded: Counter[Itemset] | None = None
+) -> dict[ItemId, int]:
     """Count, per item, the number of transactions containing it.
 
     Presence counts, not multiplicity; transactions are already duplicate-free.
     Items never seen are absent from the result. Equal transactions are
     counted together and each distinct one is walked once; items keep the
-    order in which the transactions first name them.
+    order in which the transactions first name them. folded, when given,
+    must be Counter(db.transactions), so a caller that needs that fold
+    itself builds it once.
     """
+    if folded is None:
+        folded = Counter(db.transactions)
     counts: dict[ItemId, int] = {}
-    for transaction, times in Counter(db.transactions).items():
+    for transaction, times in folded.items():
         for item in transaction:
             counts[item] = counts.get(item, 0) + times
     return counts

@@ -276,13 +276,15 @@ def build_fptree(db: TransactionDb, min_support: int) -> tuple[FPTree, dict[Item
     """
     if min_support < 1:
         raise ValidationError(f"min_support must be >= 1, got {min_support}")
-    totals = item_frequencies(db)
+    distinct = Counter(db.transactions)
+    totals = item_frequencies(db, distinct)
     order = _frequent_order(totals, min_support, db.catalog)
     rank = {item: position for position, item in enumerate(order)}
     folded: Counter[tuple[int, ...]] = Counter()
-    for transaction, count in Counter(db.transactions).items():
+    for transaction, count in distinct.items():
         folded[tuple(sorted([rank[item] for item in transaction if item in rank]))] += count
-    del folded[()]
+    # Freed before the tree is built, which is where the peak falls.
+    del distinct, folded[()]
     header = {item: totals[item] for item in order}
     return _build(db.catalog, order, list(header.values()), sorted(folded.items())), header
 

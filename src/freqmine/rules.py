@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable
 
 from .apriori import LABEL_JOINER, FrequentItemsets, check_joinable, sorted_itemsets
 from .dataset import ItemCatalog, Itemset
@@ -46,6 +48,39 @@ def meets_confidence(num: int, den: int, min_confidence: float | Fraction) -> bo
     return num / den >= min_confidence
 
 
+def confidence_limit(min_confidence: float | Fraction) -> Callable[[int], int | float]:
+    """Map an itemset's support to the largest antecedent support it accepts.
+
+    With limit = confidence_limit(min_confidence) and counts
+    1 <= sup_union <= a, meets_confidence(sup_union, a, min_confidence)
+    holds exactly when a <= limit(sup_union), which is inf when no
+    antecedent support is too large. Confidence only falls as a grows, so
+    one limit per itemset answers every split's test with one compare.
+
+    A Fraction threshold N/D gives sup_union * D // N. A float threshold c
+    is met when the correctly rounded quotient is at least c, which holds
+    exactly when the true ratio exceeds the midpoint between c and the
+    float below it, or equals that midpoint and c, being even, wins the
+    tie. The midpoint is a fraction too, so the limit is again one floor
+    division.
+    """
+    tie = 0  # 1 when a ratio equal to the bound is rejected
+    if isinstance(min_confidence, Fraction):
+        bound = min_confidence
+    elif min_confidence <= 0:
+        bound = Fraction(0)
+    elif not min_confidence <= 1:  # above 1, or NaN: no split is accepted
+        return lambda sup_union: 0
+    else:
+        below = math.nextafter(min_confidence, 0)
+        bound = (Fraction(below) + Fraction(min_confidence)) / 2
+        tie = int(min_confidence / math.ulp(min_confidence)) % 2
+    num, den = bound.numerator, bound.denominator
+    if num <= 0:
+        return lambda sup_union: math.inf
+    return lambda sup_union: (sup_union * den - tie) // num
+
+
 @dataclass(frozen=True)
 class AssociationRule:
     """antecedent => consequent with its support and confidence evidence.
@@ -76,38 +111,48 @@ def generate_rules(
     to 1 (ap-genrules, Agrawal & Srikant 1994). Confidence can only fall as
     the antecedent shrinks, so a smaller antecedent is examined only when
     every superset of it within the itemset was kept: accepted, or any split
-    when include_rejected is set.
+    when include_rejected is set. Acceptance is one integer compare against
+    the itemset's confidence_limit, computed once per itemset.
 
     The k-1 level is always examined. Its antecedents must be stored with a
     support at least the itemset's, which, by induction over the itemsets in
     size order, proves the whole table downward closed. A missing antecedent
     raises ClosureViolationError and a smaller one ContractViolationError,
-    each naming the first bad split in smallest-antecedent-first order.
+    each naming the first bad split in smallest-antecedent-first order; an
+    itemset support below 1 raises ContractViolationError the same way.
 
     Rules come out itemset by itemset in sorted_itemsets order, the itemset
-    CSV's, and within an itemset by antecedent labels.
+    CSV's, and within an itemset by antecedent labels, compared through
+    their ranks in label order.
     """
     support = freq.support
+    support_of = support.get
+    limit_of = confidence_limit(min_confidence)
+    rank = catalog.label_ranks().__getitem__
     out: list[AssociationRule] = []
     for itemset in sorted_itemsets(freq, catalog):
         size = len(itemset)
         if size < 2:
             continue
         sup_union = support[itemset]
+        if sup_union < 1:
+            _raise_first_bad_split(itemset, support, catalog)
+        limit = limit_of(sup_union)
         kept: list[tuple[Itemset, int, bool]] = []
         level = list(combinations(itemset, size - 1))
         while level:
             survivors = []
             for antecedent in level:
-                sup_antecedent = support.get(antecedent)
-                if sup_antecedent is None or not 1 <= sup_union <= sup_antecedent:
+                # An unstored antecedent reads 0, below every sup_union.
+                sup_antecedent = support_of(antecedent, 0)
+                if sup_antecedent < sup_union:
                     _raise_first_bad_split(itemset, support, catalog)
-                accepted = meets_confidence(sup_union, sup_antecedent, min_confidence)
+                accepted = sup_antecedent <= limit
                 if accepted or include_rejected:
                     kept.append((antecedent, sup_antecedent, accepted))
                     survivors.append(antecedent)
             take = len(level[0]) - 1
-            if take == 0:
+            if take == 0 or not survivors:
                 break
             if len(survivors) == len(level):
                 level = list(combinations(itemset, take))
@@ -118,7 +163,7 @@ def generate_rules(
                     smaller for larger in survivors for smaller in combinations(larger, take)
                 )
                 level = [smaller for smaller, count in tally.items() if count == size - take]
-        kept.sort(key=lambda split: catalog.labels_of(split[0]))
+        kept.sort(key=lambda split: tuple(map(rank, split[0])))
         for antecedent, sup_antecedent, accepted in kept:
             out.append(
                 AssociationRule(
@@ -158,17 +203,18 @@ def write_rules_csv(rules: list[AssociationRule], catalog: ItemCatalog) -> str:
     shortest decimal that round-trips to the stored double.
     """
     check_joinable(catalog)
+    labels = catalog.labels.__getitem__
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(RULES_CSV_HEADER)
-    for rule in rules:
-        writer.writerow(
-            [
-                LABEL_JOINER.join(catalog.labels_of(rule.antecedent)),
-                LABEL_JOINER.join(catalog.labels_of(rule.consequent)),
-                rule.support,
-                repr(rule.confidence),
-                rule.status,
-            ]
+    writer.writerows(
+        (
+            LABEL_JOINER.join(map(labels, rule.antecedent)),
+            LABEL_JOINER.join(map(labels, rule.consequent)),
+            rule.support,
+            repr(rule.confidence),
+            rule.status,
         )
+        for rule in rules
+    )
     return buffer.getvalue()

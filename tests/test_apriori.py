@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
 from freqmine.apriori import (
@@ -17,6 +20,7 @@ from freqmine.apriori import (
     join_candidates,
     prune_candidates,
     read_support_csv,
+    sorted_itemsets,
     threshold_singletons,
     write_frequent_csv,
 )
@@ -205,6 +209,33 @@ def test_read_support_csv_rejects_bad_rows():
         read_support_csv("|,3\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,3\n|,3\n", "support line 2: empty itemset"),
+        ("itemset,support\n | ,3\n", "support line 2: empty itemset"),
+        ('a,3\n"|\n",3\n', "support line 3: empty itemset"),
+        ("a,3\n|\n", "support line 2: expected itemset,count"),
+        ("a,3\na,4\n", "support line 2: conflicting counts for 'a'"),
+        ("a|b,3\n,\n\nb||A,4\n", "support line 4: conflicting counts for 'b||A'"),
+        ("a,3\nb,x\n", "support line 2: count is not an integer: 'x'"),
+        ("itemset,count\n\na,2.0\n", "support line 3: count is not an integer: '2.0'"),
+        ('"a\nb",3\nc,\n', "support line 3: count is not an integer: ''"),
+    ],
+)
+def test_read_support_csv_errors_name_their_line(text, message):
+    with pytest.raises(ValidationError) as caught:
+        read_support_csv(text)
+    assert str(caught.value) == message
+
+
+def test_read_support_csv_skips_blank_parts_and_all_blank_rows():
+    text = 'itemset,support\na||b,3\n,\n , \n\n" ",\n|b|,4\n'
+    freq, catalog = read_support_csv(text)
+    assert by_labels(freq, catalog) == {("a", "b"): 3, ("b",): 4}
+    assert catalog.labels == ("a", "b")
+
+
 def test_read_support_csv_quoting_error_names_the_line():
     with pytest.raises(CsvParseError, match="line 2"):
         read_support_csv('a,3\n"b,2\n')
@@ -213,6 +244,32 @@ def test_read_support_csv_quoting_error_names_the_line():
 def test_read_support_csv_skips_blank_rows():
     freq, catalog = read_support_csv("itemset,support\na,3\n,\n\nb,2\n")
     assert by_labels(freq, catalog) == {("a",): 3, ("b",): 2}
+
+
+# Spellings whose first-seen order is not their label order: case and
+# whitespace variants of one label, spellings an alias maps onto another
+# label, and labels that need CSV quoting.
+SPELLINGS = (
+    "zeta", "Alpha", " alpha ", "ALPHA", "Mid  Label", "mid label", "b", "beta",
+    "comma, label", 'quote "label"', "line\nbreak", "Panic", "anxiety", "Zeta",
+)
+ALIASES = {"b": "Beta", "panic": "Anxiety"}
+
+
+@st.composite
+def aliased_dbs(draw):
+    rows = draw(st.lists(st.lists(st.sampled_from(SPELLINGS), max_size=5), max_size=12))
+    buffer = io.StringIO()
+    csv.writer(buffer, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+    return parse_transactions(buffer.getvalue(), ALIASES)
+
+
+@settings(max_examples=80, deadline=None)
+@given(aliased_dbs())
+def test_sorted_itemsets_orders_by_size_then_labels(db):
+    freq = apriori_mine(db, 1)
+    expected = sorted(freq.support, key=lambda s: (len(s), db.catalog.labels_of(s)))
+    assert sorted_itemsets(freq, db.catalog) == expected
 
 
 def test_frequent_itemsets_equality_ignores_dict_order(db5):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,13 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from freqmine.apriori import FrequentItemsets, MiningParams, apriori_mine
+from freqmine.apriori import (
+    FrequentItemsets,
+    MiningParams,
+    apriori_mine,
+    read_support_csv,
+    write_frequent_csv,
+)
 from freqmine.dataset import ItemCatalog, parse_transactions
 from freqmine.errors import ClosureViolationError, ContractViolationError
 from freqmine.oracle import brute_force_rules
 from freqmine.rules import (
     ACCEPTED,
     REJECTED,
+    confidence_limit,
     generate_rules,
     meets_confidence,
     rule_confidence,
@@ -53,6 +63,43 @@ def test_meets_confidence_fraction_path_is_exact():
     assert num / den == 1 / 3
     assert not meets_confidence(num, den, threshold)
     assert meets_confidence(num, den, 1 / 3)
+
+
+def test_confidence_limit_keeps_the_exact_and_the_rounded_test():
+    num, den = 33333333333333331, 99999999999999994
+    assert confidence_limit(Fraction(1, 3))(num) < den
+    assert confidence_limit(1 / 3)(num) >= den
+    assert confidence_limit(Fraction(0))(num) == math.inf
+    assert confidence_limit(Fraction(1))(num) == num
+    assert confidence_limit(0.0)(num) == math.inf
+    assert confidence_limit(1.0)(3) == 3
+    # num / (num + 1) rounds up to 1.0, so the float test accepts it.
+    assert confidence_limit(1.0)(num) == num + 1
+
+
+THRESHOLDS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(9, 10)]),
+    st.fractions(min_value=0, max_value=1),
+    st.sampled_from([0.0, 1.0, 1 / 3, 0.1, 0.9, 5e-324, 2.0**-1022, math.nextafter(1.0, 0)]),
+    st.floats(min_value=0, max_value=1),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(THRESHOLDS, st.integers(1, 10**18), st.data())
+def test_confidence_limit_accepts_what_meets_confidence_accepts(threshold, sup_union, data):
+    """One bound per itemset accepts exactly the antecedent supports the
+    per-split test accepts: the bound itself, and nothing above it."""
+    limit = confidence_limit(threshold)(sup_union)
+    if limit == math.inf:
+        probes = [sup_union, data.draw(st.integers(sup_union, 10**40))]
+    else:
+        assert limit >= sup_union
+        offsets = st.integers(-3, 3) | st.integers(-(10**6), 10**6)
+        probes = [limit, limit + 1, max(sup_union, limit + data.draw(offsets))]
+    for sup_antecedent in probes:
+        accepted = meets_confidence(sup_union, sup_antecedent, threshold)
+        assert (sup_antecedent <= limit) == accepted
 
 
 def rules_by_labels(ruleset, catalog):
@@ -206,6 +253,34 @@ def test_rules_invariant_under_relabeling():
         for r in generate_rules(apriori_mine(backward, 2), backward.catalog, **kwargs)
     }
     assert named_forward == named_backward
+
+
+def label_rows(text):
+    """A rules CSV's rows with each itemset's labels sorted, in sorted order."""
+    rows = list(csv.reader(io.StringIO(text)))
+    named = [
+        (tuple(sorted(ante.split("|"))), tuple(sorted(cons.split("|"))), *rest)
+        for ante, cons, *rest in rows[1:]
+    ]
+    return rows[0], sorted(named)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    conftest.dbs_with_threshold(),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+)
+def test_rules_from_the_support_csv_match_rules_from_the_table(case, confidence):
+    """The rules command's route, itemset CSV -> read -> rules, loses nothing."""
+    db, threshold = case
+    freq = apriori_mine(db, threshold)
+    read, catalog = read_support_csv(write_frequent_csv(freq, db.catalog))
+    for include_rejected in (False, True):
+        direct = generate_rules(freq, db.catalog, confidence, include_rejected)
+        routed = generate_rules(read, catalog, confidence, include_rejected)
+        assert label_rows(write_rules_csv(routed, catalog)) == label_rows(
+            write_rules_csv(direct, db.catalog)
+        )
 
 
 def test_write_rules_csv_golden(db5):
