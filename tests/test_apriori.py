@@ -17,6 +17,7 @@ from freqmine.apriori import (
     MiningParams,
     apriori_mine,
     count_support,
+    frequent_partners,
     join_candidates,
     prune_candidates,
     read_support_csv,
@@ -24,7 +25,7 @@ from freqmine.apriori import (
     threshold_singletons,
     write_frequent_csv,
 )
-from freqmine.dataset import parse_transactions
+from freqmine.dataset import item_frequencies, parse_transactions
 from freqmine.errors import ContractViolationError, CsvParseError, ValidationError
 from freqmine.oracle import brute_force_frequent
 
@@ -77,6 +78,88 @@ def test_prune_keeps_closed_candidates():
     level = {(0, 1), (0, 2), (1, 2)}
     assert prune_candidates({(0, 1, 2)}, level) == {(0, 1, 2)}
     assert prune_candidates({(0, 1, 2)}, {(0, 1), (0, 2)}) == set()
+
+
+def test_join_skips_candidates_whose_last_pair_is_infrequent():
+    # (1, 3) and (2, 3) are not frequent pairs, so (0, 1, 3) and (0, 2, 3)
+    # would fail prune; the filtered join never makes them.
+    level = {(0, 1), (0, 2), (0, 3), (1, 2)}
+    partners = frequent_partners(level)
+    assert partners == {0: {1, 2, 3}, 1: {2}}
+    assert join_candidates(level) == {(0, 1, 2), (0, 1, 3), (0, 2, 3)}
+    assert join_candidates(level, partners) == {(0, 1, 2)}
+    assert prune_candidates(join_candidates(level), level) == {(0, 1, 2)}
+
+
+@st.composite
+def downward_closed_levels(draw):
+    """A level of k-itemsets (k >= 2) from a downward-closed family, and its pairs."""
+    n_items = draw(st.integers(min_value=3, max_value=9))
+    maximal = draw(
+        st.lists(
+            st.sets(st.integers(0, n_items - 1), min_size=2, max_size=6),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    k = draw(st.integers(min_value=2, max_value=5))
+    level: set[tuple[int, ...]] = set()
+    pairs: set[tuple[int, ...]] = set()
+    for members in maximal:
+        ordered = sorted(members)
+        level.update(combinations(ordered, k))
+        pairs.update(combinations(ordered, 2))
+    return level, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(downward_closed_levels())
+def test_filtered_join_prunes_to_the_unfiltered_result(case):
+    level, pairs = case
+    filtered = join_candidates(level, frequent_partners(pairs))
+    assert filtered <= join_candidates(level)
+    assert prune_candidates(filtered, level) == prune_candidates(join_candidates(level), level)
+
+
+@st.composite
+def wide_sparse_dbs(draw):
+    """Many items, short rows and a low threshold, so that some pair of
+    frequent items is infrequent while deeper itemsets are still frequent."""
+    n_items = draw(st.integers(min_value=6, max_value=18))
+    rows = draw(
+        st.lists(
+            st.sets(st.integers(0, n_items - 1), max_size=5),
+            min_size=4,
+            max_size=40,
+        )
+    )
+    text = "".join(",".join(f"i{item}" for item in sorted(row)) + "\n" for row in rows)
+    threshold = draw(st.integers(min_value=1, max_value=3))
+    return parse_transactions(text), threshold
+
+
+def _unfiltered_level_candidates(db, threshold):
+    """level_candidates of the levelwise route that joins every pair."""
+    counts = item_frequencies(db)
+    sizes = [(1, len(counts))]
+    level = threshold_singletons(counts, threshold)
+    while level:
+        candidates = prune_candidates(join_candidates(level), level)
+        if not candidates:
+            break
+        sizes.append((len(next(iter(candidates))), len(candidates)))
+        tallies = count_support(db, candidates)
+        level = {s: count for s, count in tallies.items() if count >= threshold}
+    return sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_sparse_dbs())
+def test_apriori_on_wide_sparse_dbs_matches_brute_force(case):
+    db, threshold = case
+    stats = AprioriStats()
+    assert apriori_mine(db, threshold, stats).support == brute_force_frequent(db, threshold).support
+    assert stats.level_candidates == _unfiltered_level_candidates(db, threshold)
 
 
 def test_count_support_db5_pairs(db5):

@@ -17,12 +17,17 @@ import pytest
 
 from conftest import DATA_DIR, DB5_TEXT
 
+from freqmine import apriori
 from freqmine.dataset import parse_transactions
 from freqmine.fpgrowth import TreeStats, fpgrowth_mine
 
 TRACE_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "trace_cli.py"
 
 DB5_SUPPORT_CSV = "itemset,support\na,4\nb,4\nc,4\na|b,3\na|c,3\nb|c,3\n"
+
+# At support 1 every item is frequent but {c, d} is not, so from size 3 on
+# the join leaves out a,c,d and b,c,d.
+WIDE_TEXT = "a,b,c\na,d\nb,d\n"
 
 COMMANDS = {
     "mine_apriori": (
@@ -65,7 +70,9 @@ def _trace(tmp_path: Path, argv: list[str]) -> dict:
     db5.write_text(DB5_TEXT, encoding="utf-8")
     support = tmp_path / "support.csv"
     support.write_text(DB5_SUPPORT_CSV, encoding="utf-8")
-    argv = [arg.format(db5=db5, support=support) for arg in argv]
+    wide = tmp_path / "wide.csv"
+    wide.write_text(WIDE_TEXT, encoding="utf-8")
+    argv = [arg.format(db5=db5, support=support, wide=wide) for arg in argv]
     trace = tmp_path / "trace.json"
     result = subprocess.run(
         [sys.executable, str(TRACE_CLI), str(trace), *argv, "--output", str(tmp_path / "out")],
@@ -98,3 +105,24 @@ def test_trace_counts_one_projection_per_itemset(tmp_path):
     trace = _trace(tmp_path, COMMANDS["mine_fpgrowth"][0])
     mined = fpgrowth_mine(parse_transactions(DB5_TEXT), 3)
     assert trace["counts"]["fpgrowth.projections"] == len(mined.support) == 6
+
+
+def test_trace_counts_the_filtered_join(tmp_path, monkeypatch):
+    # The tracer must wrap the join that apriori_mine calls with its partners
+    # filter; the same mine run in-process gives the total it should count.
+    trace = _trace(
+        tmp_path, ["mine", "{wide}", "--min-support", "1", "--algorithm", "apriori"]
+    )
+    db = parse_transactions(WIDE_TEXT)
+    joined = {"filtered": 0, "unfiltered": 0}
+    join = apriori.join_candidates
+
+    def counting_join(level, partners=None):
+        joined["filtered"] += len(join(level, partners))
+        joined["unfiltered"] += len(join(level))
+        return join(level, partners)
+
+    monkeypatch.setattr(apriori, "join_candidates", counting_join)
+    apriori.apriori_mine(db, 1)
+    assert joined == {"filtered": 8, "unfiltered": 10}
+    assert trace["counts"]["apriori.joined"] == joined["filtered"]
