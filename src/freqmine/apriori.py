@@ -1,26 +1,38 @@
 """Levelwise frequent-itemset mining.
 
 Candidates of size k+1 are joined from frequent k-itemsets sharing a prefix,
-pruned by downward closure, then counted against the database. Pairs are
-joined from frequent singletons and need no prune. From size 3 on, when some
-pair of frequent items is infrequent, the join makes only candidates whose
-last two items are a frequent pair (a 2-itemset filter in the spirit of DHP,
-Park, Chen & Yu, SIGMOD 1995); prune would drop every other one. Counting is
-vertical: each item's tidset is one int bitset over the transactions, built
-once per mine at the first counted level, and a candidate's support is the
-population count of the AND of its items' tidsets. Level sets are
-materialized per level and every candidate is counted the same way, so each
-candidate tested costs one AND per item after the first.
+pruned by downward closure, then counted against the database. Pairs and
+triples need no prune: the join already guarantees the subsets that prune
+would look up (see apriori_mine). From size 3 on, when some pair of frequent
+items is infrequent, the join makes only candidates whose last two items are
+a frequent pair (a 2-itemset filter in the spirit of DHP, Park, Chen & Yu,
+SIGMOD 1995); prune would drop every other one.
+
+Support is counted by one of two routes. The general one is vertical: each
+item's tidset is one int bitset over the transactions, built once per mine
+at the first level counted this way, and a candidate's support is the
+population count of the AND of its items' tidsets, so each candidate costs
+one AND per item after the first. Level 2 may instead be counted without
+any candidates: one pass over the distinct transactions adds each one's
+multiplicity to every pair of frequent items it holds, in a flat triangular
+array (the triangular-matrix method of Leskovec, Rajaraman & Ullman, Mining
+of Massive Datasets, section 6.2, which is also the exact form of DHP's pair
+hashing). That pass costs one increment per pair of frequent items per
+distinct transaction; the ANDs cost one per pair of frequent items. So the
+array is tried only on a level of at least _PAIR_ARRAY_MIN_PAIRS pairs, and
+the pass gives up, leaving the level to the ANDs, as soon as its increments
+would pass _PAIR_ARRAY_BUDGET per pair.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Mapping
+from itertools import combinations, compress
+from typing import Iterable, Mapping, Sequence
 
 from .dataset import (
     DROPPED,
@@ -43,6 +55,16 @@ LABEL_JOINER = "|"
 # claim about the interpreter's real allocations.
 ITEMSET_BASE_BYTES = 56
 ITEMSET_WORD_BYTES = 8
+
+# Level 2 goes to the pair array only when it has at least this many pairs.
+# Below it the whole level costs a few milliseconds by either route, and the
+# ANDs need no trial pass.
+_PAIR_ARRAY_MIN_PAIRS = 1000
+# The pair array's pass gives up once its increments would pass this many per
+# pair of frequent items. An increment costs a small fraction of an AND of
+# two tidsets, so the array is the cheaper route well beyond this, and a pass
+# that gives up has spent a bounded share of what the ANDs then cost.
+_PAIR_ARRAY_BUDGET = 4
 
 
 @dataclass(frozen=True)
@@ -219,6 +241,47 @@ def count_support(
     return counts
 
 
+def frequent_pairs(
+    folded: Mapping[Itemset, int], items: Sequence[ItemId], min_support: int, budget: int
+) -> dict[Itemset, int] | None:
+    """Every pair of items with support >= min_support, counted in one pass.
+
+    folded maps each distinct transaction to its multiplicity, as
+    Counter(db.transactions) does. items are sorted handles. The pair of
+    items[p] and items[q], p < q, is counted in one slot of a flat
+    triangular array, and each transaction adds its multiplicity to the
+    slot of every pair of items it holds. The result is keyed by sorted
+    pairs, in sorted order. None means the pass gave up before a
+    transaction whose increments would have taken the total past budget.
+    """
+    width = len(items)
+    rank = {item: position for position, item in enumerate(items)}.get
+    # Pair (p, q) sits at bases[p] + q: row p holds q = p+1 .. width-1.
+    bases = [p * (2 * width - p - 3) // 2 - 1 for p in range(width)]
+    counts = [0] * (width * (width - 1) // 2)
+    spent = 0
+    for transaction, times in folded.items():
+        ranks = [r for r in map(rank, transaction) if r is not None]
+        held = len(ranks)
+        spent += held * (held - 1) // 2
+        if spent > budget:
+            return None
+        for p, q in combinations(ranks, 2):
+            counts[bases[p] + q] += times
+    frequent: dict[Itemset, int] = {}
+    at_least = min_support.__le__
+    for p in range(width - 1):
+        start = bases[p] + p + 1
+        row = counts[start : start + width - 1 - p]
+        # On a wide catalog most rows hold no frequent pair at all.
+        if max(row) < min_support:
+            continue
+        first = items[p]
+        for q, count in compress(enumerate(row, p + 1), map(at_least, row)):
+            frequent[first, items[q]] = count
+    return frequent
+
+
 def apriori_mine(
     db: TransactionDb, min_support: int, stats: AprioriStats | None = None
 ) -> FrequentItemsets:
@@ -228,25 +291,46 @@ def apriori_mine(
     counts, and thresholds until no candidates survive. The result maps every
     frequent itemset to its exact support count.
 
-    Pairs skip the prune: both of their items are frequent. When some pair
-    of frequent items is infrequent, the frequent pairs become the join's
-    partners filter from size 3 on; when every pair is frequent the filter
-    would reject nothing, so none is built.
+    Level 2 is counted by one of two routes. When the frequent items make at
+    least _PAIR_ARRAY_MIN_PAIRS pairs, frequent_pairs counts them all in one
+    pass over the distinct transactions, unless that pass would take more
+    than _PAIR_ARRAY_BUDGET increments per pair; then, and on smaller levels,
+    the pairs are joined and counted by count_support like every later
+    level. Either way level 2 records C(F, 2) candidates for F frequent items.
+
+    Pairs and triples skip the prune. A pair's items are frequent. A triple
+    (x, a, b) is joined from the frequent pairs (x, a) and (x, b), and
+    {a, b} is frequent too: when some pair of frequent items is infrequent,
+    the frequent pairs become the join's partners filter from size 3 on,
+    and when every pair is frequent no filter is needed, so none is built.
     """
     if min_support < 1:
         raise ValidationError(f"min_support must be >= 1, got {min_support}")
     if stats is None:
         stats = AprioriStats()
-    counts = item_frequencies(db)
+    folded = Counter(db.transactions)
+    counts = item_frequencies(db, folded)
     stats.level_candidates.append((1, len(counts)))
     level = threshold_singletons(counts, min_support)
     support = dict(level)
     tidsets: list[int] | None = None
     partners: dict[ItemId, set[ItemId]] | None = None
     size = 1
+    n_pairs = len(level) * (len(level) - 1) // 2
+    if n_pairs >= _PAIR_ARRAY_MIN_PAIRS:
+        items = [item for (item,) in level]
+        pairs = frequent_pairs(folded, items, min_support, _PAIR_ARRAY_BUDGET * n_pairs)
+        if pairs is not None:
+            size = 2
+            stats.level_candidates.append((2, n_pairs))
+            level = pairs
+            support.update(level)
+            if len(level) < n_pairs:
+                partners = frequent_partners(level)
+    del folded
     while level:
         candidates = join_candidates(level, partners)
-        if size > 1:
+        if size > 2:
             candidates = prune_candidates(candidates, level)
         if not candidates:
             break

@@ -148,6 +148,11 @@ _LINE_END = re.compile(r"\r\n?|\n")
 
 T = TypeVar("T")
 
+# CsvRows.converted() gives up its memo once lookups that missed outnumber
+# those that hit by this many: on text whose lines are mostly distinct the
+# memo only costs time and memory.
+_MEMO_GIVE_UP_LEAD = 1024
+
 
 def _pieces(content: str) -> Iterator[str]:
     """content cut just after a line end every _PIECE_CHARS characters or so."""
@@ -174,6 +179,8 @@ class CsvRows:
         )
         # The line that converted() takes from the text and hands to the reader.
         self._ahead: list[str] = []
+        # True while converted() looks each line up before the reader sees it.
+        self._line_by_line = False
         self._reader = csv.reader(
             itertools.chain.from_iterable(self._runs()), strict=True
         )
@@ -182,19 +189,18 @@ class CsvRows:
     def _runs(self) -> Iterator[Iterable[str]]:
         """The reader's lines, in runs.
 
-        When the rows are iterated, every line is in one run. Under
-        converted(), the line handed over is a run of its own, and so is
-        each line that continues its row.
+        When the rows are iterated, every line is in one run. While
+        converted() uses its memo, the line handed over is a run of its own,
+        and so is each line that continues its row; the lines after the
+        memo is given up are one run.
         """
         ahead, lines = self._ahead, self._lines
-        if not ahead:
-            yield lines
-            return
-        while True:
+        while ahead or self._line_by_line:
             line = ahead.pop() if ahead else next(lines, None)
             if line is None:
                 return
             yield (line,)
+        yield lines
 
     @property
     def line_num(self) -> int:
@@ -216,22 +222,36 @@ class CsvRows:
         being read. A line that starts a row spanning several lines is never
         stored, and the lines that continue such a row are read, never looked
         up. Lines answered by the memo still count toward line_num.
+
+        Once the lookups that missed outnumber those that hit by
+        _MEMO_GIVE_UP_LEAD, the memo is dropped and the reader reads the
+        remaining rows in one run, each converted as it comes.
         """
         memo: dict[str, T] = {}
         missing = object()
         reader, ahead = self._reader, self._ahead
+        misses = 0
+        self._line_by_line = True
         try:
             for line in self._lines:
                 value = memo.get(line, missing)
-                if value is missing:
-                    start = reader.line_num
-                    ahead.append(line)
-                    value = convert(next(reader))
-                    if reader.line_num == start + 1:
-                        memo[line] = value
-                else:
+                if value is not missing:
                     self._memo_lines += 1
+                    yield value
+                    continue
+                start = reader.line_num
+                ahead.append(line)
+                value = convert(next(reader))
+                if reader.line_num == start + 1:
+                    memo[line] = value
                 yield value
+                misses += 1
+                # _memo_lines counts the lookups that hit.
+                if misses - self._memo_lines == _MEMO_GIVE_UP_LEAD:
+                    del memo
+                    self._line_by_line = False
+                    yield from map(convert, reader)
+                    return
         except csv.Error as exc:
             raise CsvParseError(f"line {self.line_num}: {exc}") from exc
 
@@ -283,7 +303,9 @@ def parse_transactions(content: str, aliases: AliasMap | None = None) -> Transac
     CsvRows.converted). A line that starts a multi-line quoted cell is never
     stored, since the same line can start different rows, and the lines
     that continue such a row are parsed as part of it. The memo holds one
-    string per distinct line and is freed on return.
+    string per distinct line and is freed on return, or as soon as its
+    misses outnumber its hits by _MEMO_GIVE_UP_LEAD; the rows after that
+    are each parsed, and equal ones still share one tuple.
     """
     catalog = ItemCatalog(aliases)
     shared: dict[Itemset, Itemset] = {}

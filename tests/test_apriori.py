@@ -4,19 +4,24 @@ from __future__ import annotations
 
 import csv
 import io
+import random
+from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
+from freqmine import apriori, oracle
 from freqmine.apriori import (
     AprioriStats,
     FrequentItemsets,
     MiningParams,
     apriori_mine,
     count_support,
+    frequent_pairs,
     frequent_partners,
     join_candidates,
     prune_candidates,
@@ -159,6 +164,111 @@ def test_apriori_on_wide_sparse_dbs_matches_brute_force(case):
     db, threshold = case
     stats = AprioriStats()
     assert apriori_mine(db, threshold, stats).support == brute_force_frequent(db, threshold).support
+    assert stats.level_candidates == _unfiltered_level_candidates(db, threshold)
+
+
+def _pair_increments(folded, items):
+    """Increments the pair array's pass makes: C(f, 2) per distinct transaction."""
+    held = set(items)
+    sizes = [len(held.intersection(transaction)) for transaction in folded]
+    return sum(size * (size - 1) // 2 for size in sizes)
+
+
+@st.composite
+def repeated_dbs_with_threshold(draw):
+    db = draw(conftest.dbs_with_repeated_rows())
+    return db, draw(st.integers(min_value=1, max_value=max(db.n, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_dbs_with_threshold())
+def test_frequent_pairs_equal_count_support_over_every_pair(case):
+    db, threshold = case
+    folded = Counter(db.transactions)
+    items = [item for (item,) in threshold_singletons(item_frequencies(db), threshold)]
+    budget = _pair_increments(folded, items)
+    tallies = count_support(db, combinations(items, 2))
+    expected = {pair: count for pair, count in tallies.items() if count >= threshold}
+    pairs = frequent_pairs(folded, items, threshold, budget)
+    assert pairs == expected
+    assert list(pairs) == sorted(pairs)
+    if budget:
+        assert frequent_pairs(folded, items, threshold, budget - 1) is None
+
+
+def test_frequent_pairs_count_each_distinct_transaction_with_its_multiplicity():
+    folded = Counter({(0, 1, 2): 3, (0, 2): 2, (1,): 5, (0, 1, 3): 1})
+    # Increments: 3 + 1 + 0 + 1, item 3 being left out.
+    assert frequent_pairs(folded, [0, 1, 2], 2, 5) == {(0, 1): 4, (0, 2): 5, (1, 2): 3}
+    assert frequent_pairs(folded, [0, 1, 2], 2, 4) is None
+
+
+WIDE_BASKETS = conftest.DATA_DIR / "wide_baskets.csv"
+
+
+def _spy_on_level_2(monkeypatch):
+    """Record what frequent_pairs returns and the sizes count_support is given."""
+    seen = {"pairs": [], "counted_sizes": set()}
+    pairs, count = apriori.frequent_pairs, apriori.count_support
+
+    def spy_pairs(*args):
+        result = pairs(*args)
+        seen["pairs"].append(result)
+        return result
+
+    def spy_count(db, candidates, tidsets=None):
+        candidates = set(candidates)
+        seen["counted_sizes"].update(map(len, candidates))
+        return count(db, candidates, tidsets)
+
+    monkeypatch.setattr(apriori, "frequent_pairs", spy_pairs)
+    monkeypatch.setattr(apriori, "count_support", spy_count)
+    return seen
+
+
+def test_apriori_counts_the_wide_fixture_pairs_in_one_array(monkeypatch):
+    # 320 baskets over 80 items, 2 to 6 items each, with a planted 5-itemset:
+    # at support 3 every item is frequent, 173 of the 3,160 pairs are, and
+    # the pass makes 2,303 increments, under the budget of 4 per pair.
+    db = parse_transactions(WIDE_BASKETS.read_text(encoding="utf-8"))
+    seen = _spy_on_level_2(monkeypatch)
+    stats = AprioriStats()
+    mined = apriori_mine(db, 3, stats)
+    assert len(seen["pairs"]) == 1 and seen["pairs"][0] is not None
+    assert 2 not in seen["counted_sizes"]
+    # The oracle's item limit guards against long rows; these hold at most 6.
+    monkeypatch.setattr(oracle, "MAX_ORACLE_ITEMS", 80)
+    assert mined.support == brute_force_frequent(db, 3).support
+    assert stats.level_candidates == _unfiltered_level_candidates(db, 3)
+    assert stats.level_candidates[:2] == [(1, 80), (2, 3160)]
+
+
+def test_dense_input_counts_pairs_by_the_ands(monkeypatch):
+    # 60 rows, each holding each of 50 items with probability 1/2: 1,225
+    # pairs, enough to try the array, but each row holds about 300 of them,
+    # so the pass gives up.
+    draw = random.Random(6).random
+    rows = [[f"i{k:02d}" for k in range(50) if draw() < 0.5] for _ in range(60)]
+    text = "".join(",".join(row) + "\n" for row in rows)
+    db = parse_transactions(text)
+    seen = _spy_on_level_2(monkeypatch)
+    stats = AprioriStats()
+    mined = apriori_mine(db, 12, stats)
+    assert seen["pairs"] == [None]
+    assert 2 in seen["counted_sizes"]
+    assert stats.level_candidates[:2] == [(1, 50), (2, 1225)]
+    with mock.patch.object(apriori, "_PAIR_ARRAY_BUDGET", 10**9):
+        assert apriori_mine(db, 12).support == mined.support
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_sparse_dbs())
+def test_apriori_trying_the_pair_array_at_any_size_matches_brute_force(case):
+    db, threshold = case
+    stats = AprioriStats()
+    with mock.patch.object(apriori, "_PAIR_ARRAY_MIN_PAIRS", 1):
+        mined = apriori_mine(db, threshold, stats)
+    assert mined.support == brute_force_frequent(db, threshold).support
     assert stats.level_candidates == _unfiltered_level_candidates(db, threshold)
 
 

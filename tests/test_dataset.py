@@ -457,6 +457,43 @@ def test_converted_calls_convert_once_per_distinct_one_line_row():
     assert rows.line_num == 8
 
 
+def test_converted_drops_its_memo_once_misses_lead_by_the_limit():
+    calls = []
+
+    def convert(row):
+        calls.append(row)
+        return len(calls)
+
+    text = 'a\nb\na\nc\na\nd\ne\na\n"x\ny"\na\n'
+    # Misses minus hits: a 1, b 2, a 1, c 2, a 1, d 2, e 3 -> dropped, and
+    # the rows after it are each read and converted.
+    with mock.patch.object(dataset, "_MEMO_GIVE_UP_LEAD", 3):
+        rows = CsvRows(text)
+        assert list(rows.converted(convert)) == [1, 2, 1, 3, 1, 4, 5, 6, 7, 8]
+    assert calls == [["a"], ["b"], ["c"], ["d"], ["e"], ["a"], ["x\ny"], ["a"]]
+    assert rows.line_num == 11
+
+
+@pytest.mark.parametrize("piece_chars", [dataset._PIECE_CHARS, 1])
+@pytest.mark.parametrize("give_up_lead", [1, 2])
+@settings(max_examples=150, deadline=None)
+@given(_TEXTS_OF_REPEATED_LINES)
+def test_parse_transactions_reads_like_csv_reader_after_dropping_the_memo(
+    give_up_lead, piece_chars, content
+):
+    """Dropping the line memo partway changes nothing either."""
+    with mock.patch.object(dataset, "_PIECE_CHARS", piece_chars), mock.patch.object(
+        dataset, "_MEMO_GIVE_UP_LEAD", give_up_lead
+    ):
+        try:
+            db = parse_transactions(content)
+        except CsvParseError as exc:
+            got = (None, None, str(exc))
+        else:
+            got = (db.transactions, db.catalog.labels, None)
+    assert got == _parse_row_by_row(content)
+
+
 def test_line_starting_two_different_multiline_rows_gives_both():
     db = parse_transactions('a,"b\nc"\na,"b\nd"\n')
     assert db.catalog.labels == ("a", "b\nc", "b\nd")
