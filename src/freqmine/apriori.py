@@ -8,20 +8,23 @@ items is infrequent, the join makes only candidates whose last two items are
 a frequent pair (a 2-itemset filter in the spirit of DHP, Park, Chen & Yu,
 SIGMOD 1995); prune would drop every other one.
 
-Support is counted by one of two routes. The general one is vertical: each
-item's tidset is one int bitset over the transactions, built once per mine
-at the first level counted this way, and a candidate's support is the
-population count of the AND of its items' tidsets, so each candidate costs
-one AND per item after the first. Level 2 may instead be counted without
-any candidates: one pass over the distinct transactions adds each one's
-multiplicity to every pair of frequent items it holds, in a flat triangular
-array (the triangular-matrix method of Leskovec, Rajaraman & Ullman, Mining
-of Massive Datasets, section 6.2, which is also the exact form of DHP's pair
-hashing). That pass costs one increment per pair of frequent items per
-distinct transaction; the ANDs cost one per pair of frequent items. So the
-array is tried only on a level of at least _PAIR_ARRAY_MIN_PAIRS pairs, and
-the pass gives up, leaving the level to the ANDs, as soon as its increments
-would pass _PAIR_ARRAY_BUDGET per pair.
+Support is counted by one of two routes. The general one is vertical (Zaki,
+IEEE TKDE 2000) over the distinct transactions, each weighed by its
+multiplicity as in LCM (Uno, Kiyomi & Arimura, FIMI'04). Each item's tidset
+has one bit per distinct transaction, and bit-plane j marks those whose
+multiplicity minus one has bit j set. A candidate costs one AND per item
+after the first, and one per plane. The repeated transactions take the
+lowest bits, so the planes are short; with no repeats there are none.
+
+Level 2 may instead be counted without any candidates: one pass over the
+distinct transactions adds each one's multiplicity to every pair of frequent
+items it holds, in a flat triangular array (the triangular-matrix method of
+Leskovec, Rajaraman & Ullman, Mining of Massive Datasets, section 6.2, which
+is also the exact form of DHP's pair hashing). That pass costs one increment
+per pair of frequent items per distinct transaction; the ANDs cost one per
+pair of frequent items. So the array is tried only on a level of at least
+_PAIR_ARRAY_MIN_PAIRS pairs, and the pass gives up, leaving the level to the
+ANDs, as soon as its increments would pass _PAIR_ARRAY_BUDGET per pair.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import io
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from typing import Iterable, Mapping, Sequence
 
 from .dataset import (
@@ -201,23 +204,57 @@ def prune_candidates(candidates: CandidateSet, level: Iterable[Itemset]) -> Cand
     return kept
 
 
-def _tidsets(db: TransactionDb) -> list[int]:
-    """One bitset per catalog item: bit t is set when transaction t holds it."""
-    rows = [bytearray((db.n + 7) // 8) for _ in range(len(db.catalog))]
-    for tid, transaction in enumerate(db.transactions):
+def _bit_rows(n_rows: int, columns: Iterable[Iterable[int]], n_columns: int) -> list[int]:
+    """One int per row: bit t is set when the row is among the t-th column's members."""
+    rows: list = [bytearray((n_columns + 7) // 8) for _ in range(n_rows)]
+    for tid, members in enumerate(columns):
         byte, bit = tid >> 3, 1 << (tid & 7)
-        for item in transaction:
-            rows[item][byte] |= bit
-    return [int.from_bytes(row, "little") for row in rows]
+        for row in members:
+            rows[row][byte] |= bit
+    # Each int replaces its row as it is made, so it can reuse the freed
+    # rows' memory, which would otherwise stay behind as a hole in the heap.
+    for index, row in enumerate(rows):
+        rows[index] = int.from_bytes(row, "little")
+    return rows
+
+
+def _tidsets(
+    db: TransactionDb, folded: Mapping[Itemset, int] | None = None
+) -> tuple[list[int], list[int]]:
+    """Item tidsets over db's distinct transactions, and multiplicity planes.
+
+    Bit t of items[i] is set when the t-th distinct transaction holds item i;
+    bit t of planes[j] when its multiplicity minus one has bit j set. The
+    repeated transactions come first, by descending multiplicity (only they
+    are sorted), so the planes are short. folded, when given, must be
+    Counter(db.transactions).
+    """
+    if folded is None:
+        folded = Counter(db.transactions)
+    repeated = [transaction for transaction, times in folded.items() if times > 1]
+    repeated.sort(key=folded.__getitem__, reverse=True)
+    extras = [folded[transaction] - 1 for transaction in repeated]
+    n_planes = extras[0].bit_length() if extras else 0
+    planes = _bit_rows(
+        n_planes,
+        ([j for j in range(n_planes) if extra >> j & 1] for extra in extras),
+        len(extras),
+    )
+    once = (transaction for transaction, times in folded.items() if times == 1)
+    items = _bit_rows(len(db.catalog), chain(repeated, once), len(folded))
+    return items, planes
 
 
 def count_support(
-    db: TransactionDb, candidates: Iterable[Itemset], tidsets: list[int] | None = None
+    db: TransactionDb,
+    candidates: Iterable[Itemset],
+    tidsets: tuple[list[int], list[int]] | None = None,
 ) -> dict[Itemset, int]:
     """Support count of every candidate, including zeros.
 
-    A candidate's support is the population count of the AND of its items'
-    tidsets. Candidates may mix sizes; the empty itemset is held by every
+    With T the AND of a candidate's item tidsets, its support is
+    popcount(T) + sum of popcount(T & planes[j]) << j (see _tidsets).
+    Candidates may mix sizes; the empty itemset is held by every
     transaction. Handles outside the catalog raise ContractViolationError.
     tidsets, when given, must be _tidsets(db); apriori_mine passes them so
     that they are built once per mine, not once per level.
@@ -230,14 +267,23 @@ def count_support(
                 raise ContractViolationError(
                     f"item handle {item} outside catalog of size {catalog_size}"
                 )
-    if tidsets is None:
-        tidsets = _tidsets(db)
+    items, planes = _tidsets(db) if tidsets is None else tidsets
+    repeated = 0
+    for plane in planes:
+        repeated |= plane
     counts: dict[Itemset, int] = {}
     for candidate in ordered:
-        bits = tidsets[candidate[0]] if candidate else (1 << db.n) - 1
+        if not candidate:
+            counts[candidate] = db.n
+            continue
+        bits = items[candidate[0]]
         for item in candidate[1:]:
-            bits &= tidsets[item]
-        counts[candidate] = bits.bit_count()
+            bits &= items[item]
+        count = bits.bit_count()
+        if bits & repeated:
+            for shift, plane in enumerate(planes):
+                count += (bits & plane).bit_count() << shift
+        counts[candidate] = count
     return counts
 
 
@@ -313,7 +359,6 @@ def apriori_mine(
     stats.level_candidates.append((1, len(counts)))
     level = threshold_singletons(counts, min_support)
     support = dict(level)
-    tidsets: list[int] | None = None
     partners: dict[ItemId, set[ItemId]] | None = None
     size = 1
     n_pairs = len(level) * (len(level) - 1) // 2
@@ -327,6 +372,8 @@ def apriori_mine(
             support.update(level)
             if len(level) < n_pairs:
                 partners = frequent_partners(level)
+    # A join needs two itemsets; the fold is freed before the levels run.
+    tidsets = _tidsets(db, folded) if len(level) > 1 else None
     del folded
     while level:
         candidates = join_candidates(level, partners)
@@ -336,8 +383,6 @@ def apriori_mine(
             break
         size += 1
         stats.level_candidates.append((size, len(candidates)))
-        if tidsets is None:
-            tidsets = _tidsets(db)
         tallies = count_support(db, candidates, tidsets)
         level = {itemset: count for itemset, count in tallies.items() if count >= min_support}
         support.update(level)

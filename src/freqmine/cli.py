@@ -17,7 +17,7 @@ import string
 import sys
 from fractions import Fraction
 from math import ceil
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import __version__
 from .apriori import (
@@ -32,6 +32,7 @@ from .dataset import (
     ItemCatalog,
     SurveySchema,
     TransactionDb,
+    item_frequencies,
     parse_alias_csv,
     parse_survey,
     parse_transactions,
@@ -256,6 +257,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # Randomized cross-check of the miners against the brute-force reference.
 
 _CHECK_LABELS = string.ascii_lowercase
+# Wide cases keep this many items frequent, for 1,035 pairs: enough for
+# Apriori's pair array, too many items for brute force.
+_WIDE_MIN_FREQUENT = 46
+_CASES_PER_WIDE_CASE = 10
 
 
 def _random_case(rng: random.Random) -> tuple[TransactionDb, int, Fraction]:
@@ -278,6 +283,31 @@ def _random_case(rng: random.Random) -> tuple[TransactionDb, int, Fraction]:
     threshold = rng.randint(1, max(2, n_transactions // 2 + 1))
     confidence = Fraction(rng.randint(0, 20), 20)
     return db, threshold, confidence
+
+
+def _wide_case(rng: random.Random) -> tuple[TransactionDb, int]:
+    """Short rows over many items, some repeated, at a threshold that keeps
+    at least _WIDE_MIN_FREQUENT items frequent."""
+    n_items = rng.randint(_WIDE_MIN_FREQUENT, 80)
+    catalog = ItemCatalog()
+    for index in range(n_items):
+        catalog.intern(f"i{index:02d}")
+    items = list(range(n_items))
+    rng.shuffle(items)
+    transactions = [tuple(sorted(items[i : i + 4])) for i in range(0, n_items, 4)]
+    for _ in range(rng.randint(40, 200)):
+        if rng.random() < 0.3:
+            transactions.append(rng.choice(transactions))
+        else:
+            transactions.append(tuple(sorted(rng.sample(items, rng.randint(1, 6)))))
+    rng.shuffle(transactions)
+    db = TransactionDb(catalog, tuple(transactions))
+    counts = sorted(item_frequencies(db).values(), reverse=True)
+    return db, rng.randint(1, counts[_WIDE_MIN_FREQUENT - 1])
+
+
+def _miners_disagree(db: TransactionDb, threshold: int) -> bool:
+    return apriori_mine(db, threshold).support != fpgrowth_mine(db, threshold).support
 
 
 def _comparisons(
@@ -337,14 +367,9 @@ def _support_by_labels(
 
 
 def _shrink(
-    db: TransactionDb, threshold: int, confidence: Fraction, reason: str
+    db: TransactionDb, still_fails: Callable[[TransactionDb], bool]
 ) -> TransactionDb:
-    """Greedy minimization: drop any transaction whose removal keeps reason failing."""
-
-    def still_fails(candidate: TransactionDb) -> bool:
-        comparisons = _comparisons(candidate, threshold, confidence)
-        return next((differs for name, differs in comparisons if name == reason), False)
-
+    """Greedy minimization: drop any transaction whose removal keeps it failing."""
     transactions = list(db.transactions)
     changed = True
     while changed:
@@ -362,8 +387,10 @@ def _shrink(
 def run_check(seed: int, cases: int) -> str | None:
     """Cross-validate the miners on random databases; None means all agreed.
 
-    On a mismatch, returns a report containing the minimized database and the
-    parameters that reproduce it.
+    Then one wide case per _CASES_PER_WIDE_CASE cases, drawn from a
+    generator of their own, compares Apriori with FP-Growth. On a mismatch,
+    returns a report containing the minimized database and the parameters
+    that reproduce it.
     """
     rng = random.Random(seed)
     for case_index in range(cases):
@@ -371,10 +398,27 @@ def run_check(seed: int, cases: int) -> str | None:
         reason = _find_mismatch(db, threshold, confidence)
         if reason is None:
             continue
-        small = _shrink(db, threshold, confidence, reason)
+
+        def still_fails(candidate: TransactionDb) -> bool:
+            comparisons = _comparisons(candidate, threshold, confidence)
+            return next((differs for name, differs in comparisons if name == reason), False)
+
+        small = _shrink(db, still_fails)
         return (
             f"mismatch in case {case_index}: {reason}\n"
             f"min_support={threshold} min_confidence={confidence}\n"
+            f"transactions ({small.n} rows):\n{serialize_transactions(small)}"
+        )
+    wide_rng = random.Random(f"wide {seed}")
+    for wide_index in range(ceil(cases / _CASES_PER_WIDE_CASE)):
+        db, threshold = _wide_case(wide_rng)
+        if not _miners_disagree(db, threshold):
+            continue
+        small = _shrink(db, lambda candidate: _miners_disagree(candidate, threshold))
+        return (
+            f"mismatch in wide case {wide_index}: "
+            "apriori and fpgrowth disagree on frequent itemsets\n"
+            f"min_support={threshold}\n"
             f"transactions ({small.n} rows):\n{serialize_transactions(small)}"
         )
     return None

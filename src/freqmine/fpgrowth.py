@@ -69,7 +69,7 @@ class FPTree:
         return len(self.parents) - 1
 
     # perfbench/trace_cli.py times this call by name as fpgrowth.rank_copy;
-    # it goes when the program reports its own trace (ROADMAP item 3).
+    # it goes when the program reports its own trace (ROADMAP item 1).
     @classmethod
     def from_fptree(cls, tree: FPTree, header: Mapping[ItemId, int]) -> FPTree:
         return tree
@@ -179,7 +179,7 @@ class FPTree:
 
 
 # perfbench/trace_cli.py patches the tree class under this name; the alias
-# goes when the program reports its own trace (ROADMAP item 3).
+# goes when the program reports its own trace (ROADMAP item 1).
 RankedTree = FPTree
 
 

@@ -293,16 +293,37 @@ def _oracle_counts(db, candidates):
 
 
 @settings(max_examples=100, deadline=None)
-@given(conftest.small_dbs())
+@given(conftest.dbs_with_repeated_rows())
 def test_count_support_matches_set_scans(db):
-    """Uniform- and mixed-size candidate sets count identically to raw scans."""
+    """Uniform- and mixed-size candidate sets count identically to raw scans,
+    each repeated row once per repeat, with tidsets given or built."""
     items = sorted({i for t in db.transactions for i in t})
     if not items:
         return
     uniform = set(combinations(items, min(2, len(items))))
-    mixed = {(items[0],)} | set(combinations(items, min(3, len(items))))
+    mixed = {(), (items[0],)} | set(combinations(items, min(3, len(items))))
+    tidsets = apriori._tidsets(db, Counter(db.transactions))
     for candidates in (uniform, mixed):
-        assert count_support(db, candidates) == _oracle_counts(db, candidates)
+        expected = _oracle_counts(db, candidates)
+        assert count_support(db, candidates) == expected
+        assert count_support(db, candidates, tidsets) == expected
+
+
+def test_tidsets_put_repeats_first_with_their_planes():
+    rows = ["a,b"] * 9 + ["b,c"] * 5 + ["a"] * 2 + ["c", "a,b,c"]
+    db = parse_transactions("".join(row + "\n" for row in rows))
+    a, b, c = 0, 1, 2
+    tidsets = items, planes = apriori._tidsets(db)
+    # Bits 0-2 are a,b (9 times), b,c (5) and a (2); bits 3 and 4 are held
+    # once. Multiplicity minus one: 8, 4 and 1, so four planes.
+    assert items == [0b10101, 0b10011, 0b11010]
+    assert planes == [0b100, 0, 0b010, 0b001]
+    tallies = count_support(db, {(), (a,), (a, b), (b, c), (a, b, c)}, tidsets)
+    assert tallies == {(): 18, (a,): 12, (a, b): 10, (b, c): 6, (a, b, c): 1}
+
+
+def test_all_distinct_rows_make_no_planes(db5):
+    assert apriori._tidsets(db5) == ([0b10111, 0b11011, 0b11101, 0b10000], [])
 
 
 def test_apriori_db5_golden(db5):

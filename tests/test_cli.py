@@ -498,6 +498,40 @@ def test_check_shrinks_by_rerunning_only_the_failing_comparison(monkeypatch):
     assert len(calls) == 2
 
 
+def test_check_wide_cases_reach_the_pair_array(monkeypatch):
+    from freqmine import apriori
+
+    real_pairs = apriori.frequent_pairs
+    routes = []
+
+    def spy(*args):
+        pairs = real_pairs(*args)
+        routes.append(pairs is not None)
+        return pairs
+
+    monkeypatch.setattr(apriori, "frequent_pairs", spy)
+    assert run_cli(["check", "--cases", "20", "--seed", "1"]) == 0
+    # The random cases hold at most 10 items, too few to try the array.
+    assert routes == [True, True]
+
+
+def test_check_wide_cases_catch_a_pair_array_fault(monkeypatch, capsys):
+    from freqmine import apriori
+
+    real_pairs = apriori.frequent_pairs
+
+    def dropping_last_pair(*args):
+        pairs = real_pairs(*args)
+        if pairs:
+            pairs.pop(max(pairs))
+        return pairs
+
+    monkeypatch.setattr(apriori, "frequent_pairs", dropping_last_pair)
+    assert run_cli(["check", "--cases", "5", "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "mismatch in wide case 0: apriori and fpgrowth disagree" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
