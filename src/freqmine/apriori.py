@@ -16,15 +16,14 @@ multiplicity minus one has bit j set. A candidate costs one AND per item
 after the first, and one per plane. The repeated transactions take the
 lowest bits, so the planes are short; with no repeats there are none.
 
-Level 2 may instead be counted without any candidates: one pass over the
-distinct transactions adds each one's multiplicity to every pair of frequent
-items it holds, in a flat triangular array (the triangular-matrix method of
-Leskovec, Rajaraman & Ullman, Mining of Massive Datasets, section 6.2, which
-is also the exact form of DHP's pair hashing). That pass costs one increment
-per pair of frequent items per distinct transaction; the ANDs cost one per
-pair of frequent items. So the array is tried only on a level of at least
-_PAIR_ARRAY_MIN_PAIRS pairs, and the pass gives up, leaving the level to the
-ANDs, as soon as its increments would pass _PAIR_ARRAY_BUDGET per pair.
+Level 2 is first tried without any candidates: one pass over the distinct
+transactions adds each one's multiplicity to every pair of frequent items it
+holds, in a flat triangular array (the triangular-matrix method of Leskovec,
+Rajaraman & Ullman, Mining of Massive Datasets, section 6.2, which is also
+the exact form of DHP's pair hashing). That pass costs one increment per pair
+of frequent items per distinct transaction; the ANDs cost one per pair of
+frequent items. So the pass gives up, leaving the level to the ANDs, as soon
+as its increments would pass _PAIR_ARRAY_BUDGET per pair.
 """
 
 from __future__ import annotations
@@ -59,10 +58,6 @@ LABEL_JOINER = "|"
 ITEMSET_BASE_BYTES = 56
 ITEMSET_WORD_BYTES = 8
 
-# Level 2 goes to the pair array only when it has at least this many pairs.
-# Below it the whole level costs a few milliseconds by either route, and the
-# ANDs need no trial pass.
-_PAIR_ARRAY_MIN_PAIRS = 1000
 # The pair array's pass gives up once its increments would pass this many per
 # pair of frequent items. An increment costs a small fraction of an AND of
 # two tidsets, so the array is the cheaper route well beyond this, and a pass
@@ -272,10 +267,11 @@ def count_support(
     for plane in planes:
         repeated |= plane
     counts: dict[Itemset, int] = {}
+    # The empty itemset sorts first, and every transaction holds it.
+    if ordered and not ordered[0]:
+        counts[()] = db.n
+        del ordered[0]
     for candidate in ordered:
-        if not candidate:
-            counts[candidate] = db.n
-            continue
         bits = items[candidate[0]]
         for item in candidate[1:]:
             bits &= items[item]
@@ -337,12 +333,11 @@ def apriori_mine(
     counts, and thresholds until no candidates survive. The result maps every
     frequent itemset to its exact support count.
 
-    Level 2 is counted by one of two routes. When the frequent items make at
-    least _PAIR_ARRAY_MIN_PAIRS pairs, frequent_pairs counts them all in one
-    pass over the distinct transactions, unless that pass would take more
-    than _PAIR_ARRAY_BUDGET increments per pair; then, and on smaller levels,
+    Level 2 is counted by one of two routes. frequent_pairs counts every pair
+    of frequent items in one pass over the distinct transactions, unless that
+    pass would take more than _PAIR_ARRAY_BUDGET increments per pair; then
     the pairs are joined and counted by count_support like every later
-    level. Either way level 2 records C(F, 2) candidates for F frequent items.
+    level. Either way it records C(F, 2) candidates for F >= 2 frequent items.
 
     Pairs and triples skip the prune. A pair's items are frequent. A triple
     (x, a, b) is joined from the frequent pairs (x, a) and (x, b), and
@@ -357,24 +352,28 @@ def apriori_mine(
     folded = Counter(db.transactions)
     counts = item_frequencies(db, folded)
     stats.level_candidates.append((1, len(counts)))
-    level = threshold_singletons(counts, min_support)
-    support = dict(level)
+    singletons = threshold_singletons(counts, min_support)
+    support = dict(singletons)
+    level: dict[Itemset, int] | None = {}
     partners: dict[ItemId, set[ItemId]] | None = None
-    size = 1
-    n_pairs = len(level) * (len(level) - 1) // 2
-    if n_pairs >= _PAIR_ARRAY_MIN_PAIRS:
-        items = [item for (item,) in level]
-        pairs = frequent_pairs(folded, items, min_support, _PAIR_ARRAY_BUDGET * n_pairs)
-        if pairs is not None:
-            size = 2
-            stats.level_candidates.append((2, n_pairs))
-            level = pairs
-            support.update(level)
-            if len(level) < n_pairs:
-                partners = frequent_partners(level)
-    # A join needs two itemsets; the fold is freed before the levels run.
-    tidsets = _tidsets(db, folded) if len(level) > 1 else None
-    del folded
+    tidsets: tuple[list[int], list[int]] | None = None
+    n_pairs = len(singletons) * (len(singletons) - 1) // 2
+    if n_pairs:
+        stats.level_candidates.append((2, n_pairs))
+        items = [item for (item,) in singletons]
+        level = frequent_pairs(folded, items, min_support, _PAIR_ARRAY_BUDGET * n_pairs)
+        # Every later count uses the tidsets; a join needs two itemsets.
+        if level is None:
+            tidsets = _tidsets(db, folded)
+            tallies = count_support(db, join_candidates(singletons), tidsets)
+            level = {itemset: count for itemset, count in tallies.items() if count >= min_support}
+        elif len(level) > 1:
+            tidsets = _tidsets(db, folded)
+        support.update(level)
+        if len(level) < n_pairs:
+            partners = frequent_partners(level)
+    del folded  # before the levels run
+    size = 2
     while level:
         candidates = join_candidates(level, partners)
         if size > 2:
@@ -386,8 +385,6 @@ def apriori_mine(
         tallies = count_support(db, candidates, tidsets)
         level = {itemset: count for itemset, count in tallies.items() if count >= min_support}
         support.update(level)
-        if size == 2 and len(level) < len(candidates):
-            partners = frequent_partners(level)
     return FrequentItemsets(support, db.n)
 
 

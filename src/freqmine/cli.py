@@ -257,8 +257,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # Randomized cross-check of the miners against the brute-force reference.
 
 _CHECK_LABELS = string.ascii_lowercase
-# Wide cases keep this many items frequent, for 1,035 pairs: enough for
-# Apriori's pair array, too many items for brute force.
+# Wide cases keep at least this many items frequent: too many for brute
+# force, on rows short enough that Apriori counts their pairs in one array.
 _WIDE_MIN_FREQUENT = 46
 _CASES_PER_WIDE_CASE = 10
 
@@ -388,9 +388,9 @@ def run_check(seed: int, cases: int) -> str | None:
     """Cross-validate the miners on random databases; None means all agreed.
 
     Then one wide case per _CASES_PER_WIDE_CASE cases, drawn from a
-    generator of their own, compares Apriori with FP-Growth. On a mismatch,
-    returns a report containing the minimized database and the parameters
-    that reproduce it.
+    generator of their own, compares Apriori with FP-Growth on more items
+    than brute force takes. On a mismatch, returns a report containing the
+    minimized database and the parameters that reproduce it.
     """
     rng = random.Random(seed)
     for case_index in range(cases):

@@ -161,6 +161,8 @@ def _unfiltered_level_candidates(db, threshold):
 @settings(max_examples=150, deadline=None)
 @given(wide_sparse_dbs())
 def test_apriori_on_wide_sparse_dbs_matches_brute_force(case):
+    # No level is too small to try the pair array, and on rows this short
+    # its pass nearly always stays within budget, so level 2 is counted there.
     db, threshold = case
     stats = AprioriStats()
     assert apriori_mine(db, threshold, stats).support == brute_force_frequent(db, threshold).support
@@ -243,6 +245,19 @@ def test_apriori_counts_the_wide_fixture_pairs_in_one_array(monkeypatch):
     assert stats.level_candidates[:2] == [(1, 80), (2, 3160)]
 
 
+def test_db5_at_support_1_counts_its_pairs_in_one_array(monkeypatch, db5):
+    # All 4 items are frequent: 6 pairs, and the pass makes 3 + 1 + 1 + 1 + 6
+    # = 12 increments, under the budget of 4 per pair. No level is too small
+    # to try the array.
+    seen = _spy_on_level_2(monkeypatch)
+    stats = AprioriStats()
+    mined = apriori_mine(db5, 1, stats)
+    assert len(seen["pairs"]) == 1 and len(seen["pairs"][0]) == 6
+    assert 2 not in seen["counted_sizes"]
+    assert mined.support == brute_force_frequent(db5, 1).support
+    assert stats.level_candidates == [(1, 4), (2, 6), (3, 4), (4, 1)]
+
+
 def test_dense_input_counts_pairs_by_the_ands(monkeypatch):
     # 60 rows, each holding each of 50 items with probability 1/2: 1,225
     # pairs, enough to try the array, but each row holds about 300 of them,
@@ -259,17 +274,6 @@ def test_dense_input_counts_pairs_by_the_ands(monkeypatch):
     assert stats.level_candidates[:2] == [(1, 50), (2, 1225)]
     with mock.patch.object(apriori, "_PAIR_ARRAY_BUDGET", 10**9):
         assert apriori_mine(db, 12).support == mined.support
-
-
-@settings(max_examples=150, deadline=None)
-@given(wide_sparse_dbs())
-def test_apriori_trying_the_pair_array_at_any_size_matches_brute_force(case):
-    db, threshold = case
-    stats = AprioriStats()
-    with mock.patch.object(apriori, "_PAIR_ARRAY_MIN_PAIRS", 1):
-        mined = apriori_mine(db, threshold, stats)
-    assert mined.support == brute_force_frequent(db, threshold).support
-    assert stats.level_candidates == _unfiltered_level_candidates(db, threshold)
 
 
 def test_count_support_db5_pairs(db5):

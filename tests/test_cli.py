@@ -499,20 +499,22 @@ def test_check_shrinks_by_rerunning_only_the_failing_comparison(monkeypatch):
 
 
 def test_check_wide_cases_reach_the_pair_array(monkeypatch):
-    from freqmine import apriori
+    from freqmine import apriori, cli
 
     real_pairs = apriori.frequent_pairs
-    routes = []
+    routes = {"random": [], "wide": []}
 
-    def spy(*args):
-        pairs = real_pairs(*args)
-        routes.append(pairs is not None)
+    def spy(folded, items, *args):
+        pairs = real_pairs(folded, items, *args)
+        case = "wide" if len(items) >= cli._WIDE_MIN_FREQUENT else "random"
+        routes[case].append(pairs is not None)
         return pairs
 
     monkeypatch.setattr(apriori, "frequent_pairs", spy)
     assert run_cli(["check", "--cases", "20", "--seed", "1"]) == 0
-    # The random cases hold at most 10 items, too few to try the array.
-    assert routes == [True, True]
+    assert routes["wide"] == [True, True]
+    # The random cases hold at most 10 items; some are sparse enough too.
+    assert True in routes["random"]
 
 
 def test_check_wide_cases_catch_a_pair_array_fault(monkeypatch, capsys):

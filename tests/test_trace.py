@@ -129,5 +129,6 @@ def test_trace_counts_the_filtered_join(tmp_path, monkeypatch):
 
     monkeypatch.setattr(apriori, "join_candidates", counting_join)
     apriori.apriori_mine(db, 1)
-    assert joined == {"filtered": 8, "unfiltered": 10}
+    # Level 2 is counted in the pair array, so only size 3 is joined.
+    assert joined == {"filtered": 2, "unfiltered": 4}
     assert trace["counts"]["apriori.joined"] == joined["filtered"]
