@@ -169,6 +169,19 @@ def test_apriori_on_wide_sparse_dbs_matches_brute_force(case):
     assert stats.level_candidates == _unfiltered_level_candidates(db, threshold)
 
 
+@settings(max_examples=150, deadline=None)
+@given(wide_sparse_dbs())
+def test_apriori_trying_the_pair_array_at_any_size_matches_brute_force(case):
+    # With no budget to run out of, the pair array counts level 2 at every
+    # size, including the rows that would make its pass give up by default.
+    db, threshold = case
+    stats = AprioriStats()
+    with mock.patch.object(apriori, "_PAIR_ARRAY_BUDGET", 10**9):
+        mined = apriori_mine(db, threshold, stats)
+    assert mined.support == brute_force_frequent(db, threshold).support
+    assert stats.level_candidates == _unfiltered_level_candidates(db, threshold)
+
+
 def _pair_increments(folded, items):
     """Increments the pair array's pass makes: C(f, 2) per distinct transaction."""
     held = set(items)
