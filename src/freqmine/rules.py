@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable
+from itertools import combinations, repeat
+from typing import Callable, Iterable
 
 from .apriori import LABEL_JOINER, FrequentItemsets, check_joinable, sorted_itemsets
 from .dataset import ItemCatalog, Itemset
@@ -107,19 +106,23 @@ def generate_rules(
 ) -> list[AssociationRule]:
     """All rules s => (l - s) over the stored itemsets, confidence-filtered.
 
-    Each itemset's antecedents are walked level by level, from size k-1 down
-    to 1 (ap-genrules, Agrawal & Srikant 1994). Confidence can only fall as
-    the antecedent shrinks, so a smaller antecedent is examined only when
-    every superset of it within the itemset was kept: accepted, or any split
-    when include_rejected is set. Acceptance is one integer compare against
-    the itemset's confidence_limit, computed once per itemset.
+    The first pass reads the table in its own order and takes each itemset's
+    least k-1 antecedent support, an unstored antecedent reading 0. It must
+    be at least the itemset's support, which, by induction over the itemsets
+    in size order, proves the table downward closed. No smaller antecedent
+    has less support, so an itemset yields an accepted rule only if this
+    minimum is within its confidence_limit; only those are kept, or all
+    when include_rejected is set. On a violation the table is read again in
+    sorted_itemsets order, and the first bad itemset raises for its first
+    bad split, smallest antecedent first: ClosureViolationError for an
+    unstored antecedent, ContractViolationError for a smaller one or an
+    itemset support below 1.
 
-    The k-1 level is always examined. Its antecedents must be stored with a
-    support at least the itemset's, which, by induction over the itemsets in
-    size order, proves the whole table downward closed. A missing antecedent
-    raises ClosureViolationError and a smaller one ContractViolationError,
-    each naming the first bad split in smallest-antecedent-first order; an
-    itemset support below 1 raises ContractViolationError the same way.
+    The second pass sorts the kept itemsets and walks each one's antecedents
+    level by level, from size k-1 down to 1 (ap-genrules, Agrawal & Srikant
+    1994), examining a smaller antecedent only under kept ones: accepted,
+    or any when include_rejected is set. Acceptance is one integer compare
+    against the itemset's confidence_limit.
 
     Rules come out itemset by itemset in sorted_itemsets order, the itemset
     CSV's, and within an itemset by antecedent labels, compared through
@@ -128,41 +131,43 @@ def generate_rules(
     support = freq.support
     support_of = support.get
     limit_of = confidence_limit(min_confidence)
-    rank = catalog.label_ranks().__getitem__
-    out: list[AssociationRule] = []
-    for itemset in sorted_itemsets(freq, catalog):
+    yielding: list[Itemset] = []
+    for itemset, sup_union in support.items():
         size = len(itemset)
         if size < 2:
             continue
+        least = min(map(support_of, combinations(itemset, size - 1), repeat(0)))
+        if sup_union < 1 or least < sup_union:
+            for first in sorted_itemsets(freq, catalog):
+                _raise_first_bad_split(first, support, catalog)
+        if include_rejected or least <= limit_of(sup_union):
+            yielding.append(itemset)
+    rank = catalog.label_ranks().__getitem__
+    yielding.sort(key=lambda s: (len(s), *map(rank, s)))
+    out: list[AssociationRule] = []
+    for itemset in yielding:
         sup_union = support[itemset]
-        if sup_union < 1:
-            _raise_first_bad_split(itemset, support, catalog)
         limit = limit_of(sup_union)
         kept: list[tuple[Itemset, int, bool]] = []
-        level = list(combinations(itemset, size - 1))
-        while level:
+        size = len(itemset)
+        level: Iterable[Itemset] = combinations(itemset, size - 1)
+        for take in range(size - 2, -1, -1):
             survivors = []
             for antecedent in level:
-                # An unstored antecedent reads 0, below every sup_union.
-                sup_antecedent = support_of(antecedent, 0)
-                if sup_antecedent < sup_union:
-                    _raise_first_bad_split(itemset, support, catalog)
+                sup_antecedent = support[antecedent]
                 accepted = sup_antecedent <= limit
                 if accepted or include_rejected:
                     kept.append((antecedent, sup_antecedent, accepted))
                     survivors.append(antecedent)
-            take = len(level[0]) - 1
-            if take == 0 or not survivors:
+            # A rejected antecedent's subsets are rejected too: a smaller one
+            # needs all size - take of its supersets one item larger kept,
+            # and only the survivors' subsets need examining.
+            if not take or len(survivors) < size - take:
                 break
-            if len(survivors) == len(level):
-                level = list(combinations(itemset, take))
+            if include_rejected:
+                level = combinations(itemset, take)
             else:
-                # Keep a smaller antecedent only if all size - take of its
-                # supersets one item larger survived.
-                tally = Counter(
-                    smaller for larger in survivors for smaller in combinations(larger, take)
-                )
-                level = [smaller for smaller, count in tally.items() if count == size - take]
+                level = {smaller for larger in survivors for smaller in combinations(larger, take)}
         kept.sort(key=lambda split: tuple(map(rank, split[0])))
         for antecedent, sup_antecedent, accepted in kept:
             out.append(

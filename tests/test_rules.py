@@ -158,6 +158,34 @@ def test_generate_rules_closure_violation_below_failing_splits():
             generate_rules(freq, catalog, 1, include_rejected)
 
 
+def four_item_catalog():
+    catalog = ItemCatalog()
+    for label in "abcd":
+        catalog.intern(label)
+    return catalog
+
+
+def test_generate_rules_names_the_first_gap_in_sorted_order():
+    # The gap under cd is inserted first; sorted order reaches ab first.
+    catalog = four_item_catalog()
+    freq = FrequentItemsets({(2, 3): 2, (2,): 3, (0, 1): 2, (0,): 3}, 4)
+    for include_rejected in (False, True):
+        with pytest.raises(ClosureViolationError) as exc_info:
+            generate_rules(freq, catalog, 0.5, include_rejected)
+        assert str(exc_info.value) == "no stored support for antecedent 'b'"
+
+
+def test_generate_rules_names_the_first_support_below_one_in_sorted_order():
+    catalog = four_item_catalog()
+    freq = FrequentItemsets(
+        {(2, 3): -1, (2,): 4, (3,): 4, (0, 1): 0, (0,): 3, (1,): 3}, 4
+    )
+    for include_rejected in (False, True):
+        with pytest.raises(ContractViolationError) as exc_info:
+            generate_rules(freq, catalog, 0.5, include_rejected)
+        assert str(exc_info.value) == "confidence counts out of range: union=0, antecedent=3"
+
+
 def test_generate_rules_ordering():
     db = parse_transactions("x,m,a\nx,m,a\nx,m\nx,a\nm,a\n")
     freq = apriori_mine(db, 2)
@@ -205,6 +233,32 @@ def test_generate_rules_matches_brute_force_with_float_threshold(case, confidenc
     for include_rejected in (False, True):
         generated = generate_rules(freq, db.catalog, confidence, include_rejected)
         assert generated == brute_force_rules(db, params, include_rejected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conftest.dbs_with_threshold(), THRESHOLDS, st.data())
+def test_generate_rules_does_not_follow_the_table_order(case, confidence, data):
+    """The same table inserted reversed or shuffled gives the same rule list."""
+    db, threshold = case
+    freq = apriori_mine(db, threshold)
+    entries = list(freq.support.items())
+    orders = (entries[::-1], data.draw(st.permutations(entries)))
+    for include_rejected in (False, True):
+        expected = generate_rules(freq, db.catalog, confidence, include_rejected)
+        for order in orders:
+            reordered = FrequentItemsets(dict(order), freq.n)
+            assert generate_rules(reordered, db.catalog, confidence, include_rejected) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(conftest.dbs_with_threshold(), THRESHOLDS)
+def test_accepted_rules_are_the_accepted_rows_of_every_rule(case, confidence):
+    """Without include_rejected the rules are the Accepted rows, in the same order."""
+    db, threshold = case
+    freq = apriori_mine(db, threshold)
+    every = generate_rules(freq, db.catalog, confidence, include_rejected=True)
+    accepted = [rule for rule in every if rule.status == ACCEPTED]
+    assert generate_rules(freq, db.catalog, confidence) == accepted
 
 
 @settings(max_examples=60, deadline=None)
