@@ -388,8 +388,8 @@ def apriori_mine(
     return FrequentItemsets(support, db.n)
 
 
-def sorted_itemsets(freq: FrequentItemsets, catalog: ItemCatalog) -> list[Itemset]:
-    """Itemsets ordered by size, then lexicographically by display labels.
+def sorted_itemsets(itemsets: Iterable[Itemset], catalog: ItemCatalog) -> list[Itemset]:
+    """The itemsets ordered by size, then lexicographically by display labels.
 
     The sort key is one flat tuple of ints, the size followed by each item's
     rank in label order (ItemCatalog.label_ranks). Display labels are unique,
@@ -397,7 +397,7 @@ def sorted_itemsets(freq: FrequentItemsets, catalog: ItemCatalog) -> list[Itemse
     per itemset.
     """
     rank = catalog.label_ranks().__getitem__
-    return sorted(freq.support, key=lambda s: (len(s), *map(rank, s)))
+    return sorted(itemsets, key=lambda s: (len(s), *map(rank, s)))
 
 
 def check_joinable(catalog: ItemCatalog) -> None:
@@ -427,7 +427,7 @@ def write_frequent_csv(freq: FrequentItemsets, catalog: ItemCatalog) -> str:
     writer.writerow(FREQUENT_CSV_HEADER)
     writer.writerows(
         (LABEL_JOINER.join(map(labels, itemset)), support[itemset])
-        for itemset in sorted_itemsets(freq, catalog)
+        for itemset in sorted_itemsets(support, catalog)
     )
     return buffer.getvalue()
 
@@ -443,13 +443,10 @@ def read_support_csv(content: str) -> tuple[FrequentItemsets, ItemCatalog]:
     ValidationError, naming the physical line on which the row ends;
     identical duplicates collapse.
 
-    Each distinct label spelling is interned once per call: a dict local to
-    the call maps it to its handle, or to DROPPED when it is blank.
+    Each distinct label spelling is resolved once, by the catalog's memo.
     """
     catalog = ItemCatalog()
     support: dict[Itemset, int] = {}
-    handles: dict[str, ItemId] = {}
-    handle_of = handles.__getitem__
     rows = CsvRows(content)
     for index, row in enumerate(rows):
         if index == 0 and tuple(cell.strip().casefold() for cell in row[:2]) in {
@@ -458,11 +455,7 @@ def read_support_csv(content: str) -> tuple[FrequentItemsets, ItemCatalog]:
         }:
             continue
         parts = row[0].split(LABEL_JOINER) if row else []
-        try:
-            items = set(map(handle_of, parts))
-        except KeyError:
-            handles.update(zip(parts, map(catalog.resolve, parts)))
-            items = set(map(handle_of, parts))
+        items = set(map(catalog.resolve, parts))
         items.discard(DROPPED)
         if not items and not any(cell.strip() for cell in row):
             continue

@@ -16,7 +16,7 @@ import random
 import string
 import sys
 from fractions import Fraction
-from math import ceil
+from math import ceil, isfinite
 from typing import Callable, Iterator
 
 from . import __version__
@@ -106,14 +106,17 @@ def _single_noncomma_char(text: str) -> str:
 
 def _axis_values(text: str) -> list[float | int]:
     values: list[float | int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, text.split(","))):
         try:
-            values.append(float(part) if "." in part else int(part))
+            values.append(int(part))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {part!r}")
+            try:
+                value = float(part)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"not a number: {part!r}") from None
+            if not isfinite(value):
+                raise argparse.ArgumentTypeError(f"not a finite number: {part!r}")
+            values.append(value)
     if not values:
         raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
     return values

@@ -4,7 +4,8 @@ A transaction is a set of items. Items are interned strings: every distinct
 label (after whitespace normalization and case folding) gets a dense integer
 handle, and itemsets are sorted tuples of those handles. All mining code
 downstream works on handles only; labels come back into play when rendering
-output.
+output. Work done once per distinct key (a label spelling, an age cell, a
+transaction to render) is remembered in one kind of memo, _Memo.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import CsvParseError, SchemaError, ValidationError
 
@@ -38,6 +40,22 @@ AliasMap = dict[str, str]
 # What ItemCatalog.resolve returns for a label that is blank or aliases to blank.
 DROPPED: ItemId = -1
 
+T = TypeVar("T")
+
+
+class _Memo(dict[Any, T]):
+    """A dict that computes, stores and returns compute(key) for a missing key.
+
+    Map its bound __getitem__: a key already stored is found without a call
+    into Python. A key whose compute raises is not stored.
+    """
+
+    def __init__(self, compute: Callable[[Any], T]) -> None:
+        self._compute = compute
+
+    def __missing__(self, key: Any) -> T:
+        return self.setdefault(key, self._compute(key))
+
 
 class ItemCatalog:
     """Interned item labels with dense integer handles.
@@ -46,15 +64,17 @@ class ItemCatalog:
     through normalize_label, so later spellings differing only in case or
     whitespace map to the same handle. The catalog's aliases, keyed by
     normalized raw label, are applied to each spelling before interning,
-    once and without chaining. Each raw spelling is normalized once and its
-    outcome remembered.
+    once and without chaining. resolve(raw), a _Memo's __getitem__, gives
+    raw's handle after its alias, adding it if new, or DROPPED if either is
+    blank; the memo holds the catalog's lists, not the catalog itself.
     """
 
     def __init__(self, aliases: AliasMap | None = None) -> None:
         self._labels: list[str] = []
         self._handles: dict[str, ItemId] = {}
-        self._by_spelling: dict[str, ItemId] = {}
         self._aliases = aliases or {}
+        add = partial(self._add, self._labels, self._handles, self._aliases)
+        self.resolve = _Memo(add).__getitem__
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -67,25 +87,19 @@ class ItemCatalog:
     def __repr__(self) -> str:
         return f"ItemCatalog({len(self._labels)} items)"
 
-    def resolve(self, raw: str) -> ItemId:
-        """Handle for raw after its alias, adding it if new; DROPPED if either is blank."""
-        handle = self._by_spelling.get(raw)
-        if handle is None:
-            handle = self._by_spelling[raw] = self._add(raw)
-        return handle
-
-    def _add(self, raw: str) -> ItemId:
+    @staticmethod
+    def _add(labels: list[str], handles: dict[str, ItemId], aliases: AliasMap, raw: str) -> ItemId:
         label = raw
         key = normalize_label(label)
-        if key and key in self._aliases:
-            label = self._aliases[key]
+        if key and key in aliases:
+            label = aliases[key]
             key = normalize_label(label)
         if not key:
             return DROPPED
-        handle = self._handles.get(key)
+        handle = handles.get(key)
         if handle is None:
-            handle = self._handles[key] = len(self._labels)
-            self._labels.append(label.strip())
+            handle = handles[key] = len(labels)
+            labels.append(label.strip())
         return handle
 
     def intern(self, raw: str) -> ItemId:
@@ -145,8 +159,6 @@ _PIECE_CHARS = 1 << 16
 
 # A line end as io.StringIO(newline="") finds it; "\r\n" is one.
 _LINE_END = re.compile(r"\r\n?|\n")
-
-T = TypeVar("T")
 
 # CsvRows.converted() gives up its memo once lookups that missed outnumber
 # those that hit by this many: on text whose lines are mostly distinct the
@@ -329,14 +341,8 @@ def serialize_transactions(db: TransactionDb) -> str:
     """
     label = db.catalog.labels.__getitem__
     render = csv.writer(_LineEcho(), lineterminator="\n").writerow
-    lines: dict[Itemset, str] = {}
-    rows: list[str] = []
-    for transaction in db.transactions:
-        line = lines.get(transaction)
-        if line is None:
-            line = lines[transaction] = render(map(label, transaction))
-        rows.append(line)
-    return "".join(rows)
+    line_of = _Memo(lambda transaction: render(map(label, transaction))).__getitem__
+    return "".join(map(line_of, db.transactions))
 
 
 def item_frequencies(
@@ -440,15 +446,13 @@ def parse_survey(
     transactions: list[Itemset] = []
     shared: dict[Itemset, Itemset] = {}
     # Bucket label of each distinct age cell; a bad cell raises before it is stored.
-    buckets: dict[str, str] = {}
+    bucket_of = _Memo(
+        lambda cell: bucket_age(_parse_age(cell, missing_key), schema.missing_age_label)
+    ).__getitem__
     for row in rows:
         age_cell = row[age_at] if age_at < len(row) else ""
         impact_cell = row[impact_at] if impact_at < len(row) else ""
-        bucket = buckets.get(age_cell)
-        if bucket is None:
-            age = _parse_age(age_cell, missing_key)
-            bucket = buckets[age_cell] = bucket_age(age, schema.missing_age_label)
-        labels = [bucket]
+        labels = [bucket_of(age_cell)]
         labels.extend(impact_cell.split(schema.multiselect_delimiter))
         transactions.append(_intern_labels(catalog, labels, shared))
     return TransactionDb(catalog, tuple(transactions))

@@ -138,14 +138,13 @@ def generate_rules(
             continue
         least = min(map(support_of, combinations(itemset, size - 1), repeat(0)))
         if sup_union < 1 or least < sup_union:
-            for first in sorted_itemsets(freq, catalog):
+            for first in sorted_itemsets(support, catalog):
                 _raise_first_bad_split(first, support, catalog)
         if include_rejected or least <= limit_of(sup_union):
             yielding.append(itemset)
     rank = catalog.label_ranks().__getitem__
-    yielding.sort(key=lambda s: (len(s), *map(rank, s)))
     out: list[AssociationRule] = []
-    for itemset in yielding:
+    for itemset in sorted_itemsets(yielding, catalog):
         sup_union = support[itemset]
         limit = limit_of(sup_union)
         kept: list[tuple[Itemset, int, bool]] = []

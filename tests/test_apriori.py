@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from freqmine import apriori, oracle
+from freqmine import apriori, dataset, oracle
 from freqmine.apriori import (
     AprioriStats,
     FrequentItemsets,
@@ -440,6 +440,23 @@ def test_read_support_csv_rejects_bad_rows():
         read_support_csv("|,3\n")
 
 
+def test_read_support_csv_normalizes_each_spelling_once(monkeypatch):
+    calls = []
+    normalize = dataset.normalize_label
+
+    def counting(raw):
+        calls.append(raw)
+        return normalize(raw)
+
+    monkeypatch.setattr(dataset, "normalize_label", counting)
+    rows = ["A,9", "b,8", "A|b,5", "a|B,5", " a |b|,5", "B|c,4", "c|A,3"]
+    freq, catalog = read_support_csv("itemset,support\n" + "\n".join(rows * 50) + "\n")
+    assert catalog.labels == ("A", "b", "c")
+    assert freq.support[(0, 1)] == 5
+    spellings = {"A", "b", "a", "B", " a ", "", "c"}
+    assert sorted(calls) == sorted(spellings)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -500,7 +517,7 @@ def aliased_dbs(draw):
 def test_sorted_itemsets_orders_by_size_then_labels(db):
     freq = apriori_mine(db, 1)
     expected = sorted(freq.support, key=lambda s: (len(s), db.catalog.labels_of(s)))
-    assert sorted_itemsets(freq, db.catalog) == expected
+    assert sorted_itemsets(freq.support, db.catalog) == expected
 
 
 def test_frequent_itemsets_equality_ignores_dict_order(db5):

@@ -386,6 +386,29 @@ def test_recode_applies_alias_file(tmp_path, capsys):
     assert capsys.readouterr().out == "Under 18,Anxiety,Sleep disturbances\n"
 
 
+def test_recode_aliased_survey_fixture(capsys):
+    """Alias, case and whitespace variants, blank and marker ages, a two-line comment."""
+    code = run_cli(
+        [
+            "recode",
+            str(DATA_DIR / "survey_aliased.csv"),
+            "--alias-file",
+            str(DATA_DIR / "label_aliases.csv"),
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "Under 18,Anxiety,Sleep disturbances\n"
+        "Anxiety,18-24,Intense fear\n"
+        "Anxiety,Sleep disturbances,Don't remember\n"
+        "Intense fear,Don't remember,Depressions\n"
+        "Anxiety,Above 35\n"
+        "Anxiety,Don't remember,Depressions\n"
+        "25-34\n"
+        "Under 18,Anxiety,Sleep disturbances\n"
+    )
+
+
 def test_recode_missing_column_names_it(tmp_path, capsys):
     path = tmp_path / "survey.csv"
     path.write_text("age,impacts\n20,Anxiety\n", encoding="utf-8")
@@ -621,6 +644,22 @@ def test_bench_rejects_non_numeric_values(capsys):
         ["bench", "--axis", "min_support", "--values", "a,b"]
     )
     assert code == 2
+
+
+def test_bench_values_read_exponent_notation(capsys):
+    argv = ["bench", "--items", "5", "--mean-len", "2", "--axis", "n_transactions"]
+    argv += ["--values", "1e2", "--min-support", "2", "--reps", "1", "--format", "json"]
+    assert run_cli(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["values"] == [100]
+    assert {row["axis_value"] for row in payload["rows"]} == {100}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_bench_values_reject_non_finite_numbers(value, capsys):
+    argv = ["bench", "--axis", "n_transactions", f"--values={value}", "--min-support", "2"]
+    assert run_cli(argv) == 2
+    assert f"not a finite number: {value!r}" in capsys.readouterr().err
 
 
 def test_bench_values_skip_empty_parts(capsys):

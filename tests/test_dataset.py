@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
+import weakref
 from unittest import mock
 
 import pytest
@@ -366,6 +368,40 @@ def test_survey_with_aliases_normalizes_each_spelling_once(monkeypatch):
         "25-34",
     )
     assert len(calls) <= 20
+
+
+def test_memo_computes_once_per_key_and_stores_no_failure():
+    calls = []
+
+    def compute(key):
+        calls.append(key)
+        if key == "bad":
+            raise ValidationError("bad key")
+        return key.upper()
+
+    get = dataset._Memo(compute).__getitem__
+    assert list(map(get, ["a", "b", "a", "b", "a"])) == ["A", "B", "A", "B", "A"]
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="bad key"):
+            get("bad")
+    assert get("a") == "A"
+    assert calls == ["a", "b", "bad", "bad"]
+
+
+def test_dropped_catalog_is_freed_by_reference_counting():
+    """The resolve memo holds the catalog's lists, not the catalog: no cycle to collect."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        catalog = ItemCatalog(parse_alias_csv("Panic attacks,Anxiety\n"))
+        resolved = [catalog.resolve(raw) for raw in ("Panic attacks", " ", "x", "anxiety")]
+        assert resolved == [0, dataset.DROPPED, 1, 0]
+        freed = weakref.ref(catalog)
+        del catalog
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @settings(max_examples=300, deadline=None)
