@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
 
 from .errors import CsvParseError, SchemaError, ValidationError
 
@@ -180,44 +180,25 @@ class CsvRows:
     """Rows of CSV text; a quoting error raises CsvParseError naming its line.
 
     Lines end at "\r", "\n" or "\r\n" and are not translated, as the csv
-    module asks of a file opened with newline="". The reader takes the lines
-    of one piece of the text at a time, so no second copy of the whole text
-    is made. Read the rows once, either by iterating or through converted().
+    module asks of a file opened with newline="". The text is read one piece
+    at a time, so no second copy of the whole text is made. Read the rows
+    once, either by iterating, which reads every line with one csv.reader,
+    or through converted(), which builds its own.
     """
 
     def __init__(self, content: str) -> None:
         self._lines = itertools.chain.from_iterable(
             io.StringIO(piece, newline="") for piece in _pieces(content)
         )
-        # The line that converted() takes from the text and hands to the reader.
-        self._ahead: list[str] = []
-        # True while converted() looks each line up before the reader sees it.
-        self._line_by_line = False
-        self._reader = csv.reader(
-            itertools.chain.from_iterable(self._runs()), strict=True
-        )
-        self._memo_lines = 0
-
-    def _runs(self) -> Iterator[Iterable[str]]:
-        """The reader's lines, in runs.
-
-        When the rows are iterated, every line is in one run. While
-        converted() uses its memo, the line handed over is a run of its own,
-        and so is each line that continues its row; the lines after the
-        memo is given up are one run.
-        """
-        ahead, lines = self._ahead, self._lines
-        while ahead or self._line_by_line:
-            line = ahead.pop() if ahead else next(lines, None)
-            if line is None:
-                return
-            yield (line,)
-        yield lines
+        self._reader = csv.reader(self._lines, strict=True)
+        # Lines that the current reader did not read: those read before it
+        # was built, and those that converted()'s memo answered.
+        self._offset = 0
 
     @property
     def line_num(self) -> int:
         """Physical line on which the last row read ended."""
-        return self._reader.line_num + self._memo_lines
+        return self._reader.line_num + self._offset
 
     def __iter__(self) -> Iterator[list[str]]:
         try:
@@ -229,40 +210,48 @@ class CsvRows:
         """convert(row) for each row, computed once per distinct one-line row.
 
         Each physical line is looked up in a memo, local to this call, before
-        the reader sees it. A line whose row ended on that same line stores
-        its value there, and a later equal line yields that value without
-        being read. A line that starts a row spanning several lines is never
-        stored, and the lines that continue such a row are read, never looked
-        up. Lines answered by the memo still count toward line_num.
+        it is handed to this call's reader. A line whose row ended on that
+        same line stores its value there, and a later equal line yields that
+        value without being read. A line that starts a row spanning several
+        lines is never stored, and the reader takes the lines that continue
+        such a row straight from the text, never looked up. Lines answered by
+        the memo still count toward line_num.
 
         Once the lookups that missed outnumber those that hit by
-        _MEMO_GIVE_UP_LEAD, the memo is dropped and the reader reads the
-        remaining rows in one run, each converted as it comes.
+        _MEMO_GIVE_UP_LEAD, the memo is dropped and a plain reader reads the
+        remaining rows, each converted as it comes.
         """
         memo: dict[str, T] = {}
         missing = object()
-        reader, ahead = self._reader, self._ahead
+        lines = self._lines
+        handed: list[str] = []
+
+        def next_line() -> str:
+            # The text running out raises StopIteration, which ends the reader's input.
+            return handed.pop() if handed else next(lines)
+
+        reader = self._reader = csv.reader(iter(next_line, None), strict=True)
         misses = 0
-        self._line_by_line = True
         try:
-            for line in self._lines:
+            for line in lines:
                 value = memo.get(line, missing)
                 if value is not missing:
-                    self._memo_lines += 1
+                    self._offset += 1
                     yield value
                     continue
                 start = reader.line_num
-                ahead.append(line)
+                handed.append(line)
                 value = convert(next(reader))
                 if reader.line_num == start + 1:
                     memo[line] = value
                 yield value
                 misses += 1
-                # _memo_lines counts the lookups that hit.
-                if misses - self._memo_lines == _MEMO_GIVE_UP_LEAD:
+                # Until the memo is dropped, _offset counts the lookups that hit.
+                if misses - self._offset == _MEMO_GIVE_UP_LEAD:
                     del memo
-                    self._line_by_line = False
-                    yield from map(convert, reader)
+                    self._offset += reader.line_num
+                    self._reader = csv.reader(lines, strict=True)
+                    yield from map(convert, self._reader)
                     return
         except csv.Error as exc:
             raise CsvParseError(f"line {self.line_num}: {exc}") from exc
@@ -427,8 +416,9 @@ def parse_survey(
     Each response row becomes one transaction holding its age-bucket item plus
     every impact selected in the multiselect cell. The first row must be a
     header naming both schema columns; a missing column raises SchemaError.
-    Missing or marker-valued ages recode to the missing-age bucket; a
-    non-integer age raises ValidationError, as does a negative one.
+    A row whose cells are all blank, such as an empty line, is no response
+    and is skipped. Missing or marker-valued ages recode to the missing-age
+    bucket; a non-integer age raises ValidationError, as does a negative one.
     """
     rows = iter(CsvRows(content))
     header = next(rows, None)
@@ -452,6 +442,9 @@ def parse_survey(
     for row in rows:
         age_cell = row[age_at] if age_at < len(row) else ""
         impact_cell = row[impact_at] if impact_at < len(row) else ""
+        # Only a row with both of these cells blank pays for the full check.
+        if not (age_cell.strip() or impact_cell.strip()) and not any(map(str.strip, row)):
+            continue
         labels = [bucket_of(age_cell)]
         labels.extend(impact_cell.split(schema.multiselect_delimiter))
         transactions.append(_intern_labels(catalog, labels, shared))

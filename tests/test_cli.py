@@ -313,6 +313,14 @@ def test_recode_survey(capsys):
     assert capsys.readouterr().out == RECODE_GOLDEN
 
 
+def test_recode_skips_blank_lines(tmp_path, capsys):
+    """A copy of the survey sample with a blank line after every line recodes the same."""
+    path = tmp_path / "spaced.csv"
+    path.write_bytes((DATA_DIR / "survey_sample.csv").read_bytes().replace(b"\n", b"\n\n"))
+    assert run_cli(["recode", str(path)]) == 0
+    assert capsys.readouterr().out == RECODE_GOLDEN
+
+
 def test_recode_ignores_byte_order_mark(tmp_path, capsys):
     path = tmp_path / "survey.csv"
     path.write_text("age,impacts\n20,Anxiety\n", encoding="utf-8-sig")
