@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .apriori import (
     AprioriStats,
     FrequentItemsets,
-    MiningParams,
     apriori_mine,
     read_support_csv,
     write_frequent_csv,
@@ -78,7 +77,6 @@ __all__ = [
     "FrequentItemsets",
     "ItemCatalog",
     "MiningError",
-    "MiningParams",
     "ReportRow",
     "SchemaError",
     "SurveySchema",

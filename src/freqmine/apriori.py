@@ -32,7 +32,6 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, combinations, compress
 from typing import Iterable, Mapping, Sequence
 
@@ -65,32 +64,11 @@ ITEMSET_WORD_BYTES = 8
 _PAIR_ARRAY_BUDGET = 4
 
 
-@dataclass(frozen=True)
-class MiningParams:
-    """Thresholds shared by mining and rule generation.
-
-    min_support is an absolute transaction count. min_confidence may be a
-    float or an exact Fraction; a Fraction makes boundary comparisons exact.
-    """
-
-    min_support: int
-    min_confidence: float | Fraction = 0.0
-
-    def __post_init__(self) -> None:
-        if self.min_support < 1:
-            raise ValidationError(f"min_support must be >= 1, got {self.min_support}")
-        if not 0 <= self.min_confidence <= 1:
-            raise ValidationError(
-                f"min_confidence must be in [0, 1], got {self.min_confidence}"
-            )
-
-
 @dataclass
 class FrequentItemsets:
-    """Mining result: itemset -> absolute support count, plus the database size."""
+    """Mining result: itemset -> absolute support count."""
 
     support: dict[Itemset, int]
-    n: int
 
 
 @dataclass
@@ -385,7 +363,7 @@ def apriori_mine(
         tallies = count_support(db, candidates, tidsets)
         level = {itemset: count for itemset, count in tallies.items() if count >= min_support}
         support.update(level)
-    return FrequentItemsets(support, db.n)
+    return FrequentItemsets(support)
 
 
 def sorted_itemsets(itemsets: Iterable[Itemset], catalog: ItemCatalog) -> list[Itemset]:
@@ -438,10 +416,9 @@ def read_support_csv(content: str) -> tuple[FrequentItemsets, ItemCatalog]:
     The header row is optional ("itemset,support" or "itemset,count"). Labels
     within a row are '|'-separated; blank parts are skipped, and a row whose
     itemset cell has no label is skipped when all its cells are blank and
-    rejected otherwise. When no database size accompanies the counts, n is
-    taken as the largest count seen. Conflicting duplicate rows raise
-    ValidationError, naming the physical line on which the row ends;
-    identical duplicates collapse.
+    rejected otherwise. Conflicting duplicate rows raise ValidationError,
+    naming the physical line on which the row ends; identical duplicates
+    collapse.
 
     Each distinct label spelling is resolved once, by the catalog's memo.
     """
@@ -477,5 +454,4 @@ def read_support_csv(content: str) -> tuple[FrequentItemsets, ItemCatalog]:
             raise ValidationError(
                 f"support line {rows.line_num}: conflicting counts for {row[0]!r}"
             )
-    n = max(support.values(), default=0)
-    return FrequentItemsets(support, n), catalog
+    return FrequentItemsets(support), catalog

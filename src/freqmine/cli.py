@@ -22,7 +22,6 @@ from typing import Callable, Iterator
 from . import __version__
 from .apriori import (
     FrequentItemsets,
-    MiningParams,
     apriori_mine,
     read_support_csv,
     write_frequent_csv,
@@ -68,24 +67,20 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _positive_fraction(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError("must be in (0, 1]")
-    return value
+def _unit_fraction(allow_zero: bool) -> Callable[[str], Fraction]:
+    """An argparse type: an exact fraction in [0, 1], or in (0, 1] without allow_zero."""
+    interval = "[0, 1]" if allow_zero else "(0, 1]"
 
+    def parse(text: str) -> Fraction:
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        if not 0 <= value <= 1 or (value == 0 and not allow_zero):
+            raise argparse.ArgumentTypeError(f"must be in {interval}")
+        return value
 
-def _confidence_fraction(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0 <= value <= 1:
-        raise argparse.ArgumentTypeError("must be in [0, 1]")
-    return value
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -129,7 +124,7 @@ def _add_support_options(parser: argparse.ArgumentParser, required: bool) -> Non
         help="absolute support threshold (transaction count)",
     )
     group.add_argument(
-        "--min-support-frac", type=_positive_fraction, metavar="F",
+        "--min-support-frac", type=_unit_fraction(allow_zero=False), metavar="F",
         help="support threshold as a fraction of the database size, rounded up",
     )
 
@@ -333,9 +328,7 @@ def _comparisons(
         _support_by_labels(*read_support_csv(table))
         != _support_by_labels(levelwise, db.catalog),
     )
-    recount = brute_force_rules(
-        db, MiningParams(threshold, confidence), include_rejected=True
-    )
+    recount = brute_force_rules(db, threshold, confidence, include_rejected=True)
     yield (
         "generate_rules disagrees with brute-force rule recounting "
         "(rejected rules included)",
@@ -458,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="precomputed itemset,count CSV with '|'-joined labels",
     )
     rules.add_argument(
-        "--min-confidence", type=_confidence_fraction, required=True, metavar="C",
+        "--min-confidence", type=_unit_fraction(allow_zero=True), required=True, metavar="C",
         help="acceptance threshold; parsed exactly, so 0.40 means 2/5",
     )
     rules.add_argument(
@@ -527,10 +520,7 @@ def run_cli(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except MiningError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except OSError as exc:
+    except (MiningError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

@@ -414,14 +414,15 @@ def parse_survey(
     """Recode a survey export into transactions.
 
     Each response row becomes one transaction holding its age-bucket item plus
-    every impact selected in the multiselect cell. The first row must be a
-    header naming both schema columns; a missing column raises SchemaError.
-    A row whose cells are all blank, such as an empty line, is no response
-    and is skipped. Missing or marker-valued ages recode to the missing-age
-    bucket; a non-integer age raises ValidationError, as does a negative one.
+    every impact selected in the multiselect cell. A row whose cells are all
+    blank, such as an empty line, is skipped, before the header as after it.
+    The first other row must be a header naming both schema columns; a
+    missing column raises SchemaError. Missing or marker-valued ages recode
+    to the missing-age bucket; a non-integer age raises ValidationError, as
+    does a negative one.
     """
     rows = iter(CsvRows(content))
-    header = next(rows, None)
+    header = next((row for row in rows if any(map(str.strip, row))), None)
     if header is None:
         raise SchemaError("survey file has no header row")
     positions = {name.strip(): index for index, name in enumerate(header)}

@@ -10,15 +10,16 @@ once, and the infrequent ranks dropped as the tree is built. The walk marks
 ancestors in one array per tree, allocated by the tree's first projection and
 reused by the rest, with only the touched entries reset after each; a tree
 is therefore not safe to project from two threads at once. A projected tree
-shares its parent's order. conditional_pattern_base and
-build_conditional_tree remain the path-by-path reference route and give the
-same trees. Output matches the levelwise miner exactly.
+shares its parent's order. The path-by-path reference route gives the same
+trees: conditional_pattern_base(tree, item) lists the prefix paths above an
+item's nodes with their counts, and build_conditional_tree inserts that list
+into a tree of its own. Output matches the levelwise miner exactly.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .apriori import FrequentItemsets
@@ -214,13 +215,6 @@ class TreeStats:
         self.alive_nodes -= count
 
 
-@dataclass
-class ConditionalPatternBase:
-    """Prefix paths (root-to-parent order) with their counts, for one item."""
-
-    paths: list[tuple[tuple[ItemId, ...], int]] = field(default_factory=list)
-
-
 def _frequent_order(
     totals: Mapping[ItemId, int], min_support: int, catalog: ItemCatalog
 ) -> list[ItemId]:
@@ -289,20 +283,17 @@ def build_fptree(db: TransactionDb, min_support: int) -> tuple[FPTree, dict[Item
     return _build(db.catalog, order, list(header.values()), sorted(folded.items())), header
 
 
-def conditional_pattern_base(
-    tree: FPTree, header: Mapping[ItemId, int], item: ItemId
-) -> ConditionalPatternBase:
+def conditional_pattern_base(tree: FPTree, item: ItemId) -> list[tuple[tuple[ItemId, ...], int]]:
     """Every root-to-parent path above the item's nodes, with the node counts.
 
     Paths hold items, follow the chain order, and a node directly under the
     root contributes an empty path whose count still participates in
-    conditional totals. Items outside the header raise KeyError.
+    conditional totals. Items outside the tree's order raise KeyError.
     """
-    if item not in header:
-        raise KeyError(item)
     parents, ranks, counts, order = tree.parents, tree.ranks, tree.counts, tree.order
-    base = ConditionalPatternBase()
-    paths_append = base.paths.append
+    if item not in order:
+        raise KeyError(item)
+    paths: list[tuple[tuple[ItemId, ...], int]] = []
     for node in tree.chains[order.index(item)]:
         prefix: list[ItemId] = []
         prefix_append = prefix.append
@@ -311,12 +302,12 @@ def conditional_pattern_base(
             prefix_append(order[ranks[above]])
             above = parents[above]
         prefix.reverse()
-        paths_append((tuple(prefix), counts[node]))
-    return base
+        paths.append((tuple(prefix), counts[node]))
+    return paths
 
 
 def build_conditional_tree(
-    base: ConditionalPatternBase, min_support: int, catalog: ItemCatalog
+    base: list[tuple[tuple[ItemId, ...], int]], min_support: int, catalog: ItemCatalog
 ) -> tuple[FPTree, dict[ItemId, int]]:
     """Re-insert the base's paths weighted by their counts, filtered by total.
 
@@ -327,12 +318,12 @@ def build_conditional_tree(
     """
     totals: dict[ItemId, int] = {}
     totals_get = totals.get
-    for path, count in base.paths:
+    for path, count in base:
         for item in path:
             totals[item] = totals_get(item, 0) + count
     order = _frequent_order(totals, min_support, catalog)
     rank = {item: position for position, item in enumerate(order)}
-    paths = [([rank[item] for item in path if item in rank], count) for path, count in base.paths]
+    paths = [([rank[item] for item in path if item in rank], count) for path, count in base]
     header = {item: totals[item] for item in order}
     return _build(catalog, order, list(header.values()), paths), header
 
@@ -372,7 +363,7 @@ def fpgrowth_mine(
     support: dict[Itemset, int] = {}
     _mine(tree, (), min_support, support, stats)
     stats.freed(created)
-    return FrequentItemsets(support, db.n)
+    return FrequentItemsets(support)
 
 
 def dump_tree(tree: FPTree) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .apriori import FrequentItemsets, MiningParams
+from .apriori import FrequentItemsets
 from .dataset import Itemset, TransactionDb
 from .errors import ValidationError
 from .rules import ACCEPTED, REJECTED, AssociationRule
@@ -44,11 +44,14 @@ def brute_force_frequent(db: TransactionDb, min_support: int) -> FrequentItemset
         for itemset, count in sorted(counts.items())
         if count >= min_support
     }
-    return FrequentItemsets(support, db.n)
+    return FrequentItemsets(support)
 
 
 def brute_force_rules(
-    db: TransactionDb, params: MiningParams, include_rejected: bool = False
+    db: TransactionDb,
+    min_support: int,
+    min_confidence: float | Fraction,
+    include_rejected: bool = False,
 ) -> list[AssociationRule]:
     """Rules over the brute-force itemsets, confidences recounted from scratch.
 
@@ -56,7 +59,7 @@ def brute_force_rules(
     of the raw transactions, not from the frequent table, so a miscounted
     support in either implementation shows up as a mismatch.
     """
-    freq = brute_force_frequent(db, params.min_support)
+    freq = brute_force_frequent(db, min_support)
     transaction_sets = [set(t) for t in db.transactions]
 
     def scan(itemset: Itemset) -> int:
@@ -73,21 +76,19 @@ def brute_force_rules(
                 sup_antecedent = scan(antecedent)
                 consequent = tuple(i for i in itemset if i not in antecedent)
                 quotient = sup_union / sup_antecedent
-                threshold = params.min_confidence
-                if isinstance(threshold, Fraction):
+                if isinstance(min_confidence, Fraction):
                     accepted = (
-                        sup_union * threshold.denominator
-                        >= threshold.numerator * sup_antecedent
+                        sup_union * min_confidence.denominator
+                        >= min_confidence.numerator * sup_antecedent
                     )
                 else:
-                    accepted = quotient >= threshold
+                    accepted = quotient >= min_confidence
                 if not accepted and not include_rejected:
                     continue
                 out.append(
                     AssociationRule(
                         antecedent,
                         consequent,
-                        sup_union,
                         sup_union,
                         sup_antecedent,
                         quotient,

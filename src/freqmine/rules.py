@@ -85,14 +85,14 @@ class AssociationRule:
     """antecedent => consequent with its support and confidence evidence.
 
     support counts transactions containing the whole itemset (antecedent and
-    consequent together). confidence equals confidence_num / confidence_den
-    exactly; the float field is that quotient correctly rounded.
+    consequent together), and confidence_den those containing the
+    antecedent. confidence is support / confidence_den, correctly rounded;
+    the two counts keep the exact ratio.
     """
 
     antecedent: Itemset
     consequent: Itemset
     support: int
-    confidence_num: int
     confidence_den: int
     confidence: float
     status: str
@@ -173,7 +173,6 @@ def generate_rules(
                 AssociationRule(
                     antecedent,
                     tuple(item for item in itemset if item not in antecedent),
-                    sup_union,
                     sup_union,
                     sup_antecedent,
                     sup_union / sup_antecedent,

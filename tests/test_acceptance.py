@@ -203,8 +203,8 @@ def test_criterion_5_known_db_golden_trace():
     build_fptree(db, 3)  # warm the path before timing
     started = time.perf_counter()
     freq = apriori_mine(db, 3)
-    tree, header = build_fptree(db, 3)
-    base = conditional_pattern_base(tree, header, handle_c)
+    tree, _ = build_fptree(db, 3)
+    base = conditional_pattern_base(tree, handle_c)
     mirrored = fpgrowth_mine(db, 3)
     elapsed = time.perf_counter() - started
     labelled = {db.catalog.labels_of(k): v for k, v in freq.support.items()}
@@ -212,7 +212,7 @@ def test_criterion_5_known_db_golden_trace():
     assert mirrored.support == freq.support
     assert tree.node_count == 6
     assert dump_tree(tree) == DB5_TREE_DUMP
-    paths = [(db.catalog.labels_of(path), count) for path, count in base.paths]
+    paths = [(db.catalog.labels_of(path), count) for path, count in base]
     assert paths == [(("a", "b"), 2), (("a",), 1), (("b",), 1)]
     assert elapsed < TRACE_TIME_LIMIT_S
     _report(5, "six itemsets, six-node tree, conditional base read off exactly")

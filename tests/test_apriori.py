@@ -18,7 +18,6 @@ from freqmine import apriori, dataset, oracle
 from freqmine.apriori import (
     AprioriStats,
     FrequentItemsets,
-    MiningParams,
     apriori_mine,
     count_support,
     frequent_pairs,
@@ -346,7 +345,6 @@ def test_all_distinct_rows_make_no_planes(db5):
 def test_apriori_db5_golden(db5):
     freq = apriori_mine(db5, 3)
     assert by_labels(freq, db5.catalog) == DB5_FREQUENT_AT_3
-    assert freq.n == 5
 
 
 def test_apriori_stats_db5(db5):
@@ -362,21 +360,13 @@ def test_apriori_threshold_above_everything(db5):
 
 def test_apriori_empty_db():
     freq = apriori_mine(parse_transactions(""), 1)
-    assert freq.support == {} and freq.n == 0
+    assert freq.support == {}
 
 
 def test_apriori_rejects_bad_threshold(db5):
     for bad in (0, -3):
         with pytest.raises(ValidationError):
             apriori_mine(db5, bad)
-
-
-def test_mining_params_validation():
-    MiningParams(1, 0.5)
-    with pytest.raises(ValidationError):
-        MiningParams(0, 0.5)
-    with pytest.raises(ValidationError):
-        MiningParams(1, 1.5)
 
 
 @settings(max_examples=100, deadline=None)
@@ -413,7 +403,6 @@ def test_read_support_csv_round_trip(db5):
     text = write_frequent_csv(freq, db5.catalog)
     again, catalog = read_support_csv(text)
     assert by_labels(again, catalog) == by_labels(freq, db5.catalog)
-    assert again.n == 4  # falls back to the largest count seen
 
 
 def test_read_support_csv_headerless_and_count_header():
@@ -522,5 +511,5 @@ def test_sorted_itemsets_orders_by_size_then_labels(db):
 
 def test_frequent_itemsets_equality_ignores_dict_order(db5):
     first = apriori_mine(db5, 3)
-    reordered = FrequentItemsets(dict(reversed(list(first.support.items()))), first.n)
+    reordered = FrequentItemsets(dict(reversed(list(first.support.items()))))
     assert first == reordered

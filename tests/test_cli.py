@@ -239,6 +239,18 @@ def test_rules_rejects_out_of_range_confidence(db5_file, value):
     assert run_cli(["rules", db5_file, "--min-support", "3", "--min-confidence", value]) == 2
 
 
+def test_fraction_options_name_their_ranges(db5_file, capsys):
+    """--min-support-frac excludes 0 and --min-confidence allows it; each says so."""
+    assert run_cli(["mine", db5_file, "--min-support-frac", "0"]) == 2
+    assert "argument --min-support-frac: must be in (0, 1]" in capsys.readouterr().err
+    assert run_cli(["mine", db5_file, "--min-support-frac", "1/0"]) == 2
+    assert "argument --min-support-frac: not a number: '1/0'" in capsys.readouterr().err
+    confidence = ["rules", db5_file, "--min-support", "3", "--min-confidence"]
+    assert run_cli([*confidence, "3/2"]) == 2
+    assert "argument --min-confidence: must be in [0, 1]" in capsys.readouterr().err
+    assert run_cli([*confidence, "0"]) == 0
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_rules_rejects_non_positive_support(db5_file, value, capsys):
     code = run_cli(
@@ -317,6 +329,14 @@ def test_recode_skips_blank_lines(tmp_path, capsys):
     """A copy of the survey sample with a blank line after every line recodes the same."""
     path = tmp_path / "spaced.csv"
     path.write_bytes((DATA_DIR / "survey_sample.csv").read_bytes().replace(b"\n", b"\n\n"))
+    assert run_cli(["recode", str(path)]) == 0
+    assert capsys.readouterr().out == RECODE_GOLDEN
+
+
+def test_recode_skips_a_blank_first_line(tmp_path, capsys):
+    """A blank line before the header is skipped, as blank lines after it are."""
+    path = tmp_path / "late_header.csv"
+    path.write_bytes(b"\n" + (DATA_DIR / "survey_sample.csv").read_bytes())
     assert run_cli(["recode", str(path)]) == 0
     assert capsys.readouterr().out == RECODE_GOLDEN
 

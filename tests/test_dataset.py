@@ -263,6 +263,13 @@ def test_parse_survey_skips_rows_of_blank_cells():
     assert db.transactions == ((0,),)
 
 
+def test_parse_survey_skips_blank_rows_before_the_header():
+    db = parse_survey("\n , \nage,impacts\n16,Anxiety\n", SurveySchema())
+    assert db == parse_survey("age,impacts\n16,Anxiety\n", SurveySchema())
+    with pytest.raises(SchemaError, match="no header row"):
+        parse_survey("\n,\n", SurveySchema())
+
+
 def test_parse_survey_custom_schema_columns_and_delimiter():
     text = "years,effects,extra\n16,Anxiety|Intense fear,ignored\n"
     schema = SurveySchema(

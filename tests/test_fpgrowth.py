@@ -20,7 +20,6 @@ from freqmine.dataset import (
 )
 from freqmine.errors import ValidationError
 from freqmine.fpgrowth import (
-    ConditionalPatternBase,
     TreeStats,
     build_conditional_tree,
     build_fptree,
@@ -49,8 +48,7 @@ def test_header_ties_break_by_label_not_handle():
     c, b, a = (db.catalog.lookup(label) for label in "cba")
     _, header = build_fptree(db, 1)
     assert list(header) == [b, c, a]
-    base = ConditionalPatternBase([((c, b), 2), ((a,), 1)])
-    _, header = build_conditional_tree(base, 1, db.catalog)
+    _, header = build_conditional_tree([((c, b), 2), ((a,), 1)], 1, db.catalog)
     assert list(header) == [b, c, a]
 
 
@@ -80,29 +78,29 @@ def test_chain_counts_sum_to_header_total(db5):
 
 
 def test_conditional_pattern_base_db5_golden(db5):
-    tree, header = build_fptree(db5, 3)
-    base = conditional_pattern_base(tree, header, db5.catalog.lookup("c"))
-    named = [(db5.catalog.labels_of(path), count) for path, count in base.paths]
+    tree, _ = build_fptree(db5, 3)
+    base = conditional_pattern_base(tree, db5.catalog.lookup("c"))
+    named = [(db5.catalog.labels_of(path), count) for path, count in base]
     assert named == [(("a", "b"), 2), (("a",), 1), (("b",), 1)]
 
 
 def test_conditional_pattern_base_unknown_item(db5):
-    tree, header = build_fptree(db5, 3)
+    tree, _ = build_fptree(db5, 3)
     with pytest.raises(KeyError):
-        conditional_pattern_base(tree, header, db5.catalog.lookup("d"))
+        conditional_pattern_base(tree, db5.catalog.lookup("d"))
 
 
 def test_empty_prefix_paths_keep_their_counts():
     db = parse_transactions("a\nb\na,b\n")
-    tree, header = build_fptree(db, 1)
+    tree, _ = build_fptree(db, 1)
     b = db.catalog.lookup("b")
-    base = conditional_pattern_base(tree, header, b)
-    assert sorted(base.paths) == [((), 1), ((db.catalog.lookup("a"),), 1)]
+    base = conditional_pattern_base(tree, b)
+    assert sorted(base) == [((), 1), ((db.catalog.lookup("a"),), 1)]
 
 
 def test_build_conditional_tree_db5_c(db5):
-    tree, header = build_fptree(db5, 3)
-    base = conditional_pattern_base(tree, header, db5.catalog.lookup("c"))
+    tree, _ = build_fptree(db5, 3)
+    base = conditional_pattern_base(tree, db5.catalog.lookup("c"))
     subtree, subheader = build_conditional_tree(base, 3, db5.catalog)
     assert subtree.node_count == 3
     assert dump_tree(subtree) == "a:3\n  b:2\nb:1\n"
@@ -113,8 +111,8 @@ def test_build_conditional_tree_db5_c(db5):
 
 
 def test_build_conditional_tree_filters_below_threshold(db5):
-    tree, header = build_fptree(db5, 3)
-    base = conditional_pattern_base(tree, header, db5.catalog.lookup("c"))
+    tree, _ = build_fptree(db5, 3)
+    base = conditional_pattern_base(tree, db5.catalog.lookup("c"))
     subtree, subheader = build_conditional_tree(base, 4, db5.catalog)
     assert subtree.node_count == 0
     assert len(subheader) == 0
@@ -146,7 +144,7 @@ def test_fpgrowth_rejects_bad_threshold(db5):
 
 def test_fpgrowth_empty_db():
     freq = fpgrowth_mine(parse_transactions(""), 1)
-    assert freq.support == {} and freq.n == 0
+    assert freq.support == {}
 
 
 def test_dump_tree_empty():
@@ -199,9 +197,8 @@ def test_build_fptree_matches_unit_count_pattern_base(case):
         (tuple(sorted(t, key=lambda item: (-counts[item], db.catalog.label(item)))), 1)
         for t in db.transactions
     ]
-    base = ConditionalPatternBase(paths)
     tree, header = build_fptree(db, threshold)
-    expected, expected_header = build_conditional_tree(base, threshold, db.catalog)
+    expected, expected_header = build_conditional_tree(paths, threshold, db.catalog)
     assert dump_tree(tree) == dump_tree(expected)
     assert tree.node_count == expected.node_count
     assert list(header.items()) == list(expected_header.items())
@@ -250,12 +247,12 @@ def test_tree_stats_drain_to_zero(case):
     assert stats.peak_alive_nodes <= stats.nodes_created
 
 
-def _assert_projections_match(tree, header, ranked, threshold, catalog):
+def _assert_projections_match(tree, ranked, threshold, catalog):
     for rank, chain in enumerate(ranked.chains):
         assert chain == [i for i, r in enumerate(ranked.ranks) if r == rank]
         if not chain:
             continue
-        base = conditional_pattern_base(tree, header, ranked.order[rank])
+        base = conditional_pattern_base(tree, ranked.order[rank])
         expected, expected_header = build_conditional_tree(base, threshold, catalog)
         projected = ranked.project(rank, threshold)
         assert projected.order is ranked.order
@@ -265,7 +262,7 @@ def _assert_projections_match(tree, header, ranked, threshold, catalog):
         assert projected.node_count == expected.node_count
         totals = {projected.order[r]: t for r, t in enumerate(projected.totals) if t}
         assert totals == expected_header
-        _assert_projections_match(expected, expected_header, projected, threshold, catalog)
+        _assert_projections_match(expected, projected, threshold, catalog)
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,16 +270,16 @@ def _assert_projections_match(tree, header, ranked, threshold, catalog):
 def test_projection_matches_reference_route(case):
     """Every conditional tree, at every depth, equals the path-by-path build."""
     db, threshold = case
-    tree, header = build_fptree(db, threshold)
-    _assert_projections_match(tree, header, tree, threshold, db.catalog)
+    tree, _ = build_fptree(db, threshold)
+    _assert_projections_match(tree, tree, threshold, db.catalog)
 
 
 @settings(max_examples=100, deadline=None)
 @given(conftest.small_dbs())
 def test_projection_at_threshold_one_matches_reference_route(db):
     """At threshold 1 no rank is ever dropped, so every projection is merge-free."""
-    tree, header = build_fptree(db, 1)
-    _assert_projections_match(tree, header, tree, 1, db.catalog)
+    tree, _ = build_fptree(db, 1)
+    _assert_projections_match(tree, tree, 1, db.catalog)
 
 
 def test_projection_drops_a_rank_without_merging():
@@ -330,10 +327,10 @@ def dbs_reaching_every_projection_route(draw):
     return parse_transactions(random_rows + "\n".join(added) + "\n"), threshold
 
 
-def _projection_route(tree, header, rank, threshold):
+def _projection_route(tree, rank, threshold):
     """Which of project's three returns the rank's projection takes."""
     totals = Counter()
-    for path, count in conditional_pattern_base(tree, header, tree.order[rank]).paths:
+    for path, count in conditional_pattern_base(tree, tree.order[rank]):
         for item in path:
             totals[item] += count
     if all(total < threshold for total in totals.values()):
@@ -348,7 +345,7 @@ def _projection_route(tree, header, rank, threshold):
 def test_repeated_projections_of_one_tree_match_a_fresh_tree(case):
     """project resets the tree's reused walk array on every return path."""
     db, threshold = case
-    tree, header = build_fptree(db, threshold)
+    tree, _ = build_fptree(db, threshold)
     routes = Counter()
     ascending = range(len(tree.order))
     for ranks in (ascending, reversed(ascending)):
@@ -358,5 +355,5 @@ def test_repeated_projections_of_one_tree_match_a_fresh_tree(case):
             assert dump_tree(projected) == dump_tree(expected)
             assert projected.totals == expected.totals
             assert projected.node_count == expected.node_count
-            routes[_projection_route(tree, header, rank, threshold)] += 1
+            routes[_projection_route(tree, rank, threshold)] += 1
     assert set(routes) == {"empty", "straight", "merge"}

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from freqmine.apriori import MiningParams, apriori_mine
+from freqmine.apriori import apriori_mine
 from freqmine.dataset import parse_transactions
 from freqmine.errors import ValidationError
 from freqmine.oracle import MAX_ORACLE_ITEMS, brute_force_frequent, brute_force_rules
@@ -27,7 +27,6 @@ def test_brute_force_db5(db5):
     freq = brute_force_frequent(db5, 3)
     named = {db5.catalog.labels_of(s): c for s, c in freq.support.items()}
     assert named == DB5_EXPECTED_AT_3
-    assert freq.n == 5
 
 
 def test_brute_force_counts_below_threshold_too(db5):
@@ -52,29 +51,25 @@ def test_brute_force_refuses_wide_universes():
 
 
 def test_brute_force_rules_matches_generate_rules(db5):
-    params = MiningParams(3, Fraction("0.75"))
+    confidence = Fraction("0.75")
     freq = apriori_mine(db5, 3)
-    assert brute_force_rules(db5, params) == generate_rules(
-        freq, db5.catalog, params.min_confidence
-    )
-    assert brute_force_rules(db5, params, include_rejected=True) == generate_rules(
-        freq, db5.catalog, params.min_confidence, include_rejected=True
+    assert brute_force_rules(db5, 3, confidence) == generate_rules(freq, db5.catalog, confidence)
+    assert brute_force_rules(db5, 3, confidence, include_rejected=True) == generate_rules(
+        freq, db5.catalog, confidence, include_rejected=True
     )
 
 
 def test_brute_force_rules_statuses(db5):
-    params = MiningParams(3, Fraction("0.8"))
-    ruleset = brute_force_rules(db5, params, include_rejected=True)
+    ruleset = brute_force_rules(db5, 3, Fraction("0.8"), include_rejected=True)
     assert ruleset and all(rule.status == "Rejected" for rule in ruleset)
-    assert brute_force_rules(db5, params) == []
+    assert brute_force_rules(db5, 3, Fraction("0.8")) == []
 
 
 @pytest.mark.parametrize("confidence", [0.0, 0.5, 0.75, 2 / 3, 1.0])
 def test_brute_force_rules_float_threshold_matches_generate_rules(confidence):
     db = parse_transactions("a,b,c\na,b\na,c\nb,c\na,b,c,d\na\nb,c\n")
-    params = MiningParams(2, confidence)
     freq = apriori_mine(db, 2)
     for include_rejected in (False, True):
-        assert brute_force_rules(db, params, include_rejected) == generate_rules(
+        assert brute_force_rules(db, 2, confidence, include_rejected) == generate_rules(
             freq, db.catalog, confidence, include_rejected
         )

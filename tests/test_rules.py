@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import conftest
 from freqmine.apriori import (
     FrequentItemsets,
-    MiningParams,
     apriori_mine,
     read_support_csv,
     write_frequent_csv,
@@ -123,7 +122,7 @@ def test_generate_rules_db5(db5):
     }
     for rule in ruleset:
         assert rule.support == 3
-        assert (rule.confidence_num, rule.confidence_den) == (3, 4)
+        assert rule.confidence_den == 4
         assert rule.confidence == 0.75
         assert rule.status == ACCEPTED
 
@@ -139,7 +138,7 @@ def test_generate_rules_rejection_and_include_flag(db5):
 def test_generate_rules_closure_violation():
     catalog = ItemCatalog()
     a, b = catalog.intern("a"), catalog.intern("b")
-    freq = FrequentItemsets({(a, b): 2, (a,): 3}, 4)
+    freq = FrequentItemsets({(a, b): 2, (a,): 3})
     with pytest.raises(ClosureViolationError) as exc_info:
         generate_rules(freq, catalog, 0.0)
     assert "b" in str(exc_info.value)
@@ -150,9 +149,7 @@ def test_generate_rules_closure_violation_below_failing_splits():
     # reaches c; the gap must still be found, through a|c.
     catalog = ItemCatalog()
     a, b, c = (catalog.intern(label) for label in "abc")
-    freq = FrequentItemsets(
-        {(a, b, c): 2, (a, b): 3, (a, c): 3, (b, c): 3, (a,): 4, (b,): 4}, 4
-    )
+    freq = FrequentItemsets({(a, b, c): 2, (a, b): 3, (a, c): 3, (b, c): 3, (a,): 4, (b,): 4})
     for include_rejected in (False, True):
         with pytest.raises(ClosureViolationError, match="'c'"):
             generate_rules(freq, catalog, 1, include_rejected)
@@ -168,7 +165,7 @@ def four_item_catalog():
 def test_generate_rules_names_the_first_gap_in_sorted_order():
     # The gap under cd is inserted first; sorted order reaches ab first.
     catalog = four_item_catalog()
-    freq = FrequentItemsets({(2, 3): 2, (2,): 3, (0, 1): 2, (0,): 3}, 4)
+    freq = FrequentItemsets({(2, 3): 2, (2,): 3, (0, 1): 2, (0,): 3})
     for include_rejected in (False, True):
         with pytest.raises(ClosureViolationError) as exc_info:
             generate_rules(freq, catalog, 0.5, include_rejected)
@@ -177,9 +174,7 @@ def test_generate_rules_names_the_first_gap_in_sorted_order():
 
 def test_generate_rules_names_the_first_support_below_one_in_sorted_order():
     catalog = four_item_catalog()
-    freq = FrequentItemsets(
-        {(2, 3): -1, (2,): 4, (3,): 4, (0, 1): 0, (0,): 3, (1,): 3}, 4
-    )
+    freq = FrequentItemsets({(2, 3): -1, (2,): 4, (3,): 4, (0, 1): 0, (0,): 3, (1,): 3})
     for include_rejected in (False, True):
         with pytest.raises(ContractViolationError) as exc_info:
             generate_rules(freq, catalog, 0.5, include_rejected)
@@ -211,10 +206,9 @@ def test_generate_rules_matches_brute_force_in_order(case, confidence):
     differs from handle order."""
     db, threshold = case
     freq = apriori_mine(db, threshold)
-    params = MiningParams(threshold, confidence)
     for include_rejected in (False, True):
         generated = generate_rules(freq, db.catalog, confidence, include_rejected)
-        assert generated == brute_force_rules(db, params, include_rejected)
+        assert generated == brute_force_rules(db, threshold, confidence, include_rejected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,10 +223,9 @@ def test_generate_rules_matches_brute_force_with_float_threshold(case, confidenc
     """The float acceptance path prunes antecedents exactly as the oracle filters."""
     db, threshold = case
     freq = apriori_mine(db, threshold)
-    params = MiningParams(threshold, confidence)
     for include_rejected in (False, True):
         generated = generate_rules(freq, db.catalog, confidence, include_rejected)
-        assert generated == brute_force_rules(db, params, include_rejected)
+        assert generated == brute_force_rules(db, threshold, confidence, include_rejected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,7 +239,7 @@ def test_generate_rules_does_not_follow_the_table_order(case, confidence, data):
     for include_rejected in (False, True):
         expected = generate_rules(freq, db.catalog, confidence, include_rejected)
         for order in orders:
-            reordered = FrequentItemsets(dict(order), freq.n)
+            reordered = FrequentItemsets(dict(order))
             assert generate_rules(reordered, db.catalog, confidence, include_rejected) == expected
 
 
@@ -285,8 +278,7 @@ def test_rule_fields_are_internally_consistent(case):
     db, threshold = case
     freq = apriori_mine(db, threshold)
     for rule in generate_rules(freq, db.catalog, 0.3, include_rejected=True):
-        assert rule.confidence == rule.confidence_num / rule.confidence_den
-        assert rule.support == rule.confidence_num
+        assert rule.confidence == rule.support / rule.confidence_den
         assert set(rule.antecedent).isdisjoint(rule.consequent)
         union = tuple(sorted(rule.antecedent + rule.consequent))
         assert freq.support[union] == rule.support
@@ -355,7 +347,7 @@ def test_write_rules_csv_shortest_round_trip_floats():
     catalog = ItemCatalog()
     of = catalog.intern("Ongoing fears")
     u18 = catalog.intern("Under 18")
-    freq = FrequentItemsets({(of,): 860, (u18,): 1169, (of, u18): 595}, 2100)
+    freq = FrequentItemsets({(of,): 860, (u18,): 1169, (of, u18): 595})
     text = write_rules_csv(
         generate_rules(freq, catalog, Fraction("0.40"), include_rejected=True), catalog
     )
