@@ -29,11 +29,10 @@ as its increments would pass _PAIR_ARRAY_BUDGET per pair.
 from __future__ import annotations
 
 import csv
-import io
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .dataset import (
     DROPPED,
@@ -369,13 +368,20 @@ def apriori_mine(
 def sorted_itemsets(itemsets: Iterable[Itemset], catalog: ItemCatalog) -> list[Itemset]:
     """The itemsets ordered by size, then lexicographically by display labels.
 
-    The sort key is one flat tuple of ints, the size followed by each item's
-    rank in label order (ItemCatalog.label_ranks). Display labels are unique,
+    The itemsets are bucketed by size, and each bucket is sorted in turn by
+    the tuple of its items' ranks in label order (ItemCatalog.label_ranks),
+    so only one size's keys are alive at a time. Display labels are unique,
     so this is the order of (size, labels) without building a label tuple
     per itemset.
     """
     rank = catalog.label_ranks().__getitem__
-    return sorted(itemsets, key=lambda s: (len(s), *map(rank, s)))
+    by_size: dict[int, list[Itemset]] = {}
+    for itemset in itemsets:
+        by_size.setdefault(len(itemset), []).append(itemset)
+    ordered: list[Itemset] = []
+    for size in sorted(by_size):
+        ordered += sorted(by_size.pop(size), key=lambda s: tuple(map(rank, s)))
+    return ordered
 
 
 def check_joinable(catalog: ItemCatalog) -> None:
@@ -392,39 +398,38 @@ def check_joinable(catalog: ItemCatalog) -> None:
             )
 
 
-def write_frequent_csv(freq: FrequentItemsets, catalog: ItemCatalog) -> str:
-    """Render itemset,support rows with '|'-joined labels, sized-then-label order.
+def write_frequent_csv(freq: FrequentItemsets, catalog: ItemCatalog, out: TextIO) -> None:
+    """Write itemset,support rows with '|'-joined labels to out, sized-then-label order.
 
-    A label containing '|' raises ValidationError before anything is rendered.
+    A label containing '|' raises ValidationError before anything is written.
     """
     check_joinable(catalog)
     labels = catalog.labels.__getitem__
     support = freq.support
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(FREQUENT_CSV_HEADER)
     writer.writerows(
         (LABEL_JOINER.join(map(labels, itemset)), support[itemset])
         for itemset in sorted_itemsets(support, catalog)
     )
-    return buffer.getvalue()
 
 
-def read_support_csv(content: str) -> tuple[FrequentItemsets, ItemCatalog]:
+def read_support_csv(source: str | TextIO) -> tuple[FrequentItemsets, ItemCatalog]:
     """Parse an itemset,count CSV into a support table and its catalog.
 
-    The header row is optional ("itemset,support" or "itemset,count"). Labels
-    within a row are '|'-separated; blank parts are skipped, and a row whose
-    itemset cell has no label is skipped when all its cells are blank and
-    rejected otherwise. Conflicting duplicate rows raise ValidationError,
-    naming the physical line on which the row ends; identical duplicates
-    collapse.
+    source is the text or a file opened with newline="", read line by line
+    (see CsvRows). The header row is optional ("itemset,support" or
+    "itemset,count"). Labels within a row are '|'-separated; blank parts
+    are skipped, and a row whose itemset cell has no label is skipped when
+    all its cells are blank and rejected otherwise. Conflicting duplicate
+    rows raise ValidationError, naming the physical line on which the row
+    ends; identical duplicates collapse.
 
     Each distinct label spelling is resolved once, by the catalog's memo.
     """
     catalog = ItemCatalog()
     support: dict[Itemset, int] = {}
-    rows = CsvRows(content)
+    rows = CsvRows(source)
     for index, row in enumerate(rows):
         if index == 0 and tuple(cell.strip().casefold() for cell in row[:2]) in {
             ("itemset", "support"),

@@ -12,17 +12,20 @@ found a mismatch.
 from __future__ import annotations
 
 import argparse
+import io
 import random
 import string
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import ceil, isfinite
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TextIO
 
 from . import __version__
 from .apriori import (
     FrequentItemsets,
     apriori_mine,
+    check_joinable,
     read_support_csv,
     write_frequent_csv,
 )
@@ -50,21 +53,40 @@ EXIT_CHECK_MISMATCH = 3
 _ALGORITHMS = ("apriori", "fpgrowth", "bruteforce")
 
 
+@contextmanager
+def _opened_input(path: str) -> Iterator[TextIO]:
+    """path as UTF-8 text, a byte order mark skipped, line ends untranslated.
+
+    A byte that is not UTF-8 raises ValidationError naming path, also when
+    it is met on a later line of a file read line by line.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not valid UTF-8 ({exc})") from None
+
+
 def _read_text(path: str) -> str:
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not valid UTF-8 ({exc})") from None
+    # Transaction and survey files are read whole: perfbench/trace_cli.py
+    # counts the bytes that parse_transactions and parse_survey read by
+    # encoding the text they are given.
+    with _opened_input(path) as handle:
+        return handle.read()
 
 
-def _write_output(text: str, path: str | None) -> None:
+@contextmanager
+def _opened_output(path: str | None) -> Iterator[TextIO]:
+    """The --output file, opened for writing and closed after, or stdout.
+
+    Open it only once every refusal has run, so that a refused command
+    leaves no file behind.
+    """
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        yield handle
 
 
 def _unit_fraction(allow_zero: bool) -> Callable[[str], Fraction]:
@@ -138,7 +160,8 @@ def _resolve_support(args: argparse.Namespace, n: int) -> int:
 def _load_aliases(args: argparse.Namespace):
     if args.alias_file is None:
         return None
-    return parse_alias_csv(_read_text(args.alias_file))
+    with _opened_input(args.alias_file) as source:
+        return parse_alias_csv(source)
 
 
 def _mine_db(db: TransactionDb, threshold: int, algorithm: str):
@@ -153,7 +176,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     db = parse_transactions(_read_text(args.input), _load_aliases(args))
     threshold = _resolve_support(args, db.n)
     freq = _mine_db(db, threshold, args.algorithm)
-    _write_output(write_frequent_csv(freq, db.catalog), args.output)
+    # The writer refuses such a label too, but only once the output is open.
+    check_joinable(db.catalog)
+    with _opened_output(args.output) as out:
+        write_frequent_csv(freq, db.catalog, out)
     return EXIT_OK
 
 
@@ -191,9 +217,14 @@ def _cmd_rules(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
-        freq, catalog = read_support_csv(_read_text(args.support_csv))
+        # Read to the end and closed before the output opens, which may be
+        # the same file.
+        with _opened_input(args.support_csv) as source:
+            freq, catalog = read_support_csv(source)
     ruleset = generate_rules(freq, catalog, args.min_confidence, args.include_rejected)
-    _write_output(write_rules_csv(ruleset, catalog), args.output)
+    check_joinable(catalog)
+    with _opened_output(args.output) as out:
+        write_rules_csv(ruleset, catalog, out)
     return EXIT_OK
 
 
@@ -205,14 +236,16 @@ def _cmd_recode(args: argparse.Namespace) -> int:
         missing_age_label=args.missing_age_label,
     )
     db = parse_survey(_read_text(args.input), schema, _load_aliases(args))
-    _write_output(serialize_transactions(db), args.output)
+    with _opened_output(args.output) as out:
+        serialize_transactions(db, out)
     return EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     failure = run_check(args.seed, args.cases)
     if failure is None:
-        _write_output(f"ok: {args.cases} cases agree across all miners\n", args.output)
+        with _opened_output(args.output) as out:
+            out.write(f"ok: {args.cases} cases agree across all miners\n")
         return EXIT_OK
     print(failure, file=sys.stderr)
     return EXIT_CHECK_MISMATCH
@@ -247,7 +280,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         min_support=args.min_support,
         min_support_frac=args.min_support_frac,
     )
-    _write_output(emit_report(report, args.format), args.output)
+    with _opened_output(args.output) as out:
+        out.write(emit_report(report, args.format))
     return EXIT_OK
 
 
@@ -308,6 +342,13 @@ def _miners_disagree(db: TransactionDb, threshold: int) -> bool:
     return apriori_mine(db, threshold).support != fpgrowth_mine(db, threshold).support
 
 
+def _written(write: Callable[..., None], *args) -> str:
+    """The text that write(*args, out) writes to a fresh io.StringIO out."""
+    out = io.StringIO()
+    write(*args, out)
+    return out.getvalue()
+
+
 def _comparisons(
     db: TransactionDb, threshold: int, confidence: Fraction
 ) -> Iterator[tuple[str, bool]]:
@@ -322,7 +363,7 @@ def _comparisons(
         "fpgrowth disagrees with brute force on frequent itemsets",
         fpgrowth_mine(db, threshold).support != reference.support,
     )
-    table = write_frequent_csv(levelwise, db.catalog)
+    table = _written(write_frequent_csv, levelwise, db.catalog)
     yield (
         "the support CSV does not round-trip the apriori itemsets",
         _support_by_labels(*read_support_csv(table))
@@ -403,7 +444,7 @@ def run_check(seed: int, cases: int) -> str | None:
         return (
             f"mismatch in case {case_index}: {reason}\n"
             f"min_support={threshold} min_confidence={confidence}\n"
-            f"transactions ({small.n} rows):\n{serialize_transactions(small)}"
+            f"transactions ({small.n} rows):\n{_written(serialize_transactions, small)}"
         )
     wide_rng = random.Random(f"wide {seed}")
     for wide_index in range(ceil(cases / _CASES_PER_WIDE_CASE)):
@@ -415,7 +456,7 @@ def run_check(seed: int, cases: int) -> str | None:
             f"mismatch in wide case {wide_index}: "
             "apriori and fpgrowth disagree on frequent itemsets\n"
             f"min_support={threshold}\n"
-            f"transactions ({small.n} rows):\n{serialize_transactions(small)}"
+            f"transactions ({small.n} rows):\n{_written(serialize_transactions, small)}"
         )
     return None
 
@@ -510,11 +551,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with "--values X" given as "--values=X" where X starts with one '-'.
+
+    argparse takes a lone argument such as -inf or -1e2 for an option and
+    refuses it with "expected one argument"; attached, it reaches
+    _axis_values, whose message names it.
+    """
+    attached: list[str] = []
+    for token in argv:
+        if attached[-1:] == ["--values"] and token[:1] == "-" and token[:2] != "--":
+            attached[-1] += f"={token}"
+        else:
+            attached.append(token)
+    return attached
+
+
 def run_cli(argv: list[str]) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version.
         return int(exc.code) if exc.code is not None else EXIT_OK

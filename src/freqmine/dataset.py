@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterator, TextIO, TypeVar
 
 from .errors import CsvParseError, SchemaError, ValidationError
 
@@ -177,19 +177,24 @@ def _pieces(content: str) -> Iterator[str]:
 
 
 class CsvRows:
-    """Rows of CSV text; a quoting error raises CsvParseError naming its line.
+    """Rows of CSV text or of an open text file; a quoting error raises
+    CsvParseError naming its line.
 
     Lines end at "\r", "\n" or "\r\n" and are not translated, as the csv
-    module asks of a file opened with newline="". The text is read one piece
-    at a time, so no second copy of the whole text is made. Read the rows
-    once, either by iterating, which reads every line with one csv.reader,
-    or through converted(), which builds its own.
+    module asks of a file opened with newline="". A file is read line by
+    line, and whole text one piece at a time, so no second copy of the
+    whole text is made. Read the rows once, either by iterating, which
+    reads every line with one csv.reader, or through converted(), which
+    builds its own.
     """
 
-    def __init__(self, content: str) -> None:
-        self._lines = itertools.chain.from_iterable(
-            io.StringIO(piece, newline="") for piece in _pieces(content)
-        )
+    def __init__(self, source: str | TextIO) -> None:
+        if isinstance(source, str):
+            self._lines = itertools.chain.from_iterable(
+                io.StringIO(piece, newline="") for piece in _pieces(source)
+            )
+        else:
+            self._lines = iter(source)
         self._reader = csv.reader(self._lines, strict=True)
         # Lines that the current reader did not read: those read before it
         # was built, and those that converted()'s memo answered.
@@ -257,14 +262,15 @@ class CsvRows:
             raise CsvParseError(f"line {self.line_num}: {exc}") from exc
 
 
-def parse_alias_csv(content: str) -> AliasMap:
+def parse_alias_csv(source: str | TextIO) -> AliasMap:
     """Read a raw_label,canonical_label CSV into a map keyed by normalized raw label.
 
+    source is the text or a file opened with newline="" (see CsvRows).
     Blank lines are skipped. Extra columns are ignored. A row with fewer than
     two fields raises ValidationError.
     """
     aliases: AliasMap = {}
-    rows = CsvRows(content)
+    rows = CsvRows(source)
     for row in rows:
         if not any(field.strip() for field in row):
             continue
@@ -316,6 +322,10 @@ def parse_transactions(content: str, aliases: AliasMap | None = None) -> Transac
     return TransactionDb(catalog, tuple(transactions))
 
 
+# serialize_transactions joins this many lines into each write.
+_WRITE_BLOCK = 4096
+
+
 class _LineEcho:
     """A csv.writer target whose write returns the row's text, which writerow passes on."""
 
@@ -323,15 +333,20 @@ class _LineEcho:
         return line
 
 
-def serialize_transactions(db: TransactionDb) -> str:
-    """Render the database back to CSV, one row per transaction, labels in handle order.
+def serialize_transactions(db: TransactionDb, out: TextIO) -> None:
+    """Write the database to out as CSV, one row per transaction, labels in handle order.
 
     Each distinct transaction is rendered once; equal ones reuse its line.
+    The lines go to out _WRITE_BLOCK at a time, one write per block, since a
+    tall database repeats a few short lines and one write per line would
+    cost more than rendering them.
     """
     label = db.catalog.labels.__getitem__
     render = csv.writer(_LineEcho(), lineterminator="\n").writerow
     line_of = _Memo(lambda transaction: render(map(label, transaction))).__getitem__
-    return "".join(map(line_of, db.transactions))
+    transactions = db.transactions
+    for start in range(0, len(transactions), _WRITE_BLOCK):
+        out.write("".join(map(line_of, transactions[start : start + _WRITE_BLOCK])))
 
 
 def item_frequencies(

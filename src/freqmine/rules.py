@@ -9,12 +9,11 @@ never suffers rounding at the boundary.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TextIO
 
 from .apriori import LABEL_JOINER, FrequentItemsets, check_joinable, sorted_itemsets
 from .dataset import ItemCatalog, Itemset
@@ -80,7 +79,7 @@ def confidence_limit(min_confidence: float | Fraction) -> Callable[[int], int | 
     return lambda sup_union: (sup_union * den - tie) // num
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssociationRule:
     """antecedent => consequent with its support and confidence evidence.
 
@@ -198,17 +197,18 @@ def _raise_first_bad_split(
             rule_confidence(sup_union, sup_antecedent)
 
 
-def write_rules_csv(rules: list[AssociationRule], catalog: ItemCatalog) -> str:
-    """Render antecedent,consequent,support,confidence,status rows.
+def write_rules_csv(
+    rules: Iterable[AssociationRule], catalog: ItemCatalog, out: TextIO
+) -> None:
+    """Write antecedent,consequent,support,confidence,status rows to out.
 
     Itemsets are '|'-joined labels, so a label containing '|' raises
-    ValidationError before anything is rendered; confidence prints as the
+    ValidationError before anything is written; confidence prints as the
     shortest decimal that round-trips to the stored double.
     """
     check_joinable(catalog)
     labels = catalog.labels.__getitem__
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(RULES_CSV_HEADER)
     writer.writerows(
         (
@@ -220,4 +220,3 @@ def write_rules_csv(rules: list[AssociationRule], catalog: ItemCatalog) -> str:
         )
         for rule in rules
     )
-    return buffer.getvalue()

@@ -77,6 +77,13 @@ def render_rows(db: TransactionDb) -> str:
     return buffer.getvalue()
 
 
+def written(write, *args) -> str:
+    """The text that write(*args, out) writes to a fresh io.StringIO out."""
+    out = io.StringIO()
+    write(*args, out)
+    return out.getvalue()
+
+
 @st.composite
 def dbs_with_threshold(draw, max_items: int = 8, max_transactions: int = 25):
     """A database plus a threshold spanning under-, at-, and over-subscribed."""

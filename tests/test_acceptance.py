@@ -8,6 +8,7 @@ fixture value is frozen here rather than recomputed from the code under test.
 import time
 from fractions import Fraction
 
+import conftest
 from conftest import DATA_DIR
 
 from freqmine.apriori import AprioriStats, apriori_mine, read_support_csv, threshold_singletons
@@ -269,15 +270,21 @@ def test_criterion_7_byte_identical_determinism():
     params = SynthParams(500, 20, 4.0, 1.0, 9)
     first_db = generate_synthetic(params)
     second_db = generate_synthetic(params)
-    assert serialize_transactions(first_db) == serialize_transactions(second_db)
+    assert conftest.written(serialize_transactions, first_db) == conftest.written(
+        serialize_transactions, second_db
+    )
 
     db = parse_transactions(DB5_TEXT)
-    mined = [write_frequent_csv(apriori_mine(db, 3), db.catalog) for _ in range(2)]
+    mined = [
+        conftest.written(write_frequent_csv, apriori_mine(db, 3), db.catalog) for _ in range(2)
+    ]
     assert mined[0] == mined[1]
 
     rulesets = [
-        write_rules_csv(
-            generate_rules(apriori_mine(db, 3), db.catalog, Fraction(3, 4)), db.catalog
+        conftest.written(
+            write_rules_csv,
+            generate_rules(apriori_mine(db, 3), db.catalog, Fraction(3, 4)),
+            db.catalog,
         )
         for _ in range(2)
     ]

@@ -395,12 +395,12 @@ DB5_CSV = (
 
 
 def test_write_frequent_csv_golden(db5):
-    assert write_frequent_csv(apriori_mine(db5, 3), db5.catalog) == DB5_CSV
+    assert conftest.written(write_frequent_csv, apriori_mine(db5, 3), db5.catalog) == DB5_CSV
 
 
 def test_read_support_csv_round_trip(db5):
     freq = apriori_mine(db5, 3)
-    text = write_frequent_csv(freq, db5.catalog)
+    text = conftest.written(write_frequent_csv, freq, db5.catalog)
     again, catalog = read_support_csv(text)
     assert by_labels(again, catalog) == by_labels(freq, db5.catalog)
 

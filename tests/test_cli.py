@@ -111,11 +111,29 @@ def test_mine_malformed_csv_reports_line(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-def test_mine_rejects_non_utf8(tmp_path, capsys):
+# Each source's rows read as transactions, as itemset,count rows and as
+# raw,canonical aliases. The late bad byte follows 64 KiB of rows, so a file
+# read line by line meets it only after rows were read.
+NON_UTF8_SOURCES = {
+    "at_start": b"\xff\xfe\x00junk",
+    "after_64_kib": b"a,1\n" * (1 << 14) + b"b\xff,1\n",
+}
+
+NON_UTF8_COMMANDS = {
+    "mine": lambda path, db5: ["mine", path, "--min-support", "1"],
+    "rules": lambda path, db5: ["rules", "--support-csv", path, "--min-confidence", "0.5"],
+    "alias_file": lambda path, db5: ["mine", db5, "--min-support", "1", "--alias-file", path],
+}
+
+
+@pytest.mark.parametrize("placement", NON_UTF8_SOURCES)
+@pytest.mark.parametrize("command", NON_UTF8_COMMANDS)
+def test_mine_rejects_non_utf8(command, placement, db5_file, tmp_path, capsys):
     path = tmp_path / "binary.csv"
-    path.write_bytes(b"\xff\xfe\x00junk")
-    assert run_cli(["mine", str(path), "--min-support", "1"]) == 1
-    assert "UTF-8" in capsys.readouterr().err
+    path.write_bytes(NON_UTF8_SOURCES[placement])
+    assert run_cli(NON_UTF8_COMMANDS[command](str(path), db5_file)) == 1
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and str(path) in err
 
 
 def test_mine_ignores_byte_order_mark(tmp_path, capsys):
@@ -168,6 +186,16 @@ def test_rules_from_support_csv(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == DB5_RULES_GOLDEN
+
+
+def test_rules_support_csv_may_be_its_own_output(tmp_path):
+    """The support CSV is read to the end before the output file opens."""
+    table = tmp_path / "supports.csv"
+    # Identical duplicate rows collapse; they make the table span many reads.
+    table.write_text(DB5_FREQ_GOLDEN + "a,4\n" * 20000, encoding="utf-8")
+    argv = ["rules", "--support-csv", str(table), "--min-confidence", "0.75"]
+    assert run_cli(argv + ["--output", str(table)]) == 0
+    assert table.read_bytes() == DB5_RULES_GOLDEN.encode("utf-8")
 
 
 def test_rules_support_csv_ignores_byte_order_mark(tmp_path, capsys):
@@ -357,19 +385,31 @@ LINE_ENDING_VARIANTS = {
 
 
 @pytest.mark.parametrize(
-    "command", [["recode"], ["mine", "--min-support", "2"]], ids=["recode", "mine"]
+    "command, source",
+    [
+        (["recode"], "survey_sample.csv"),
+        (["mine", "--min-support", "2"], "survey_sample.csv"),
+        (
+            ["rules", "--min-confidence", "0.4", "--include-rejected", "--support-csv"],
+            "impacts_support_a.csv",
+        ),
+    ],
+    ids=["recode", "mine", "rules"],
 )
-def test_line_endings_and_byte_order_mark_do_not_change_output(tmp_path, command):
-    """CRLF, BOM+CRLF and bare-CR copies of the LF survey sample write the LF output."""
-    data = (DATA_DIR / "survey_sample.csv").read_bytes()
+def test_line_endings_and_byte_order_mark_do_not_change_output(tmp_path, command, source):
+    """CRLF, BOM+CRLF and bare-CR copies of an LF source write the LF output.
+
+    The survey sample is read whole, and the support CSV line by line.
+    """
+    data = (DATA_DIR / source).read_bytes()
     assert b"\r" not in data
     name, *options = command
     outputs = {}
     for variant, convert in LINE_ENDING_VARIANTS.items():
-        source = tmp_path / f"{variant}.csv"
-        source.write_bytes(convert(data))
+        copy = tmp_path / f"{variant}.csv"
+        copy.write_bytes(convert(data))
         output = tmp_path / f"{variant}.out"
-        assert run_cli([name, str(source), *options, "--output", str(output)]) == 0
+        assert run_cli([name, *options, str(copy), "--output", str(output)]) == 0
         outputs[variant] = output.read_bytes()
     assert outputs["lf"]
     assert outputs["crlf"] == outputs["lf"]
@@ -683,9 +723,17 @@ def test_bench_values_read_exponent_notation(capsys):
     assert {row["axis_value"] for row in payload["rows"]} == {100}
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
-def test_bench_values_reject_non_finite_numbers(value, capsys):
-    argv = ["bench", "--axis", "n_transactions", f"--values={value}", "--min-support", "2"]
+@pytest.mark.parametrize(
+    "value, separate",
+    [
+        pytest.param(value, separate, id=value + ("-separate" if separate else ""))
+        for value in ("nan", "inf", "-inf", "1e999")
+        for separate in (False, True)
+    ],
+)
+def test_bench_values_reject_non_finite_numbers(value, separate, capsys):
+    values = ["--values", value] if separate else [f"--values={value}"]
+    argv = ["bench", "--axis", "n_transactions", *values, "--min-support", "2"]
     assert run_cli(argv) == 2
     assert f"not a finite number: {value!r}" in capsys.readouterr().err
 

@@ -104,7 +104,7 @@ def test_unterminated_quote_raises_with_line_number():
 def test_serialize_round_trips_quoted_labels():
     text = '"comma, label",plain\n"quote ""label"""\n'
     db = parse_transactions(text)
-    again = parse_transactions(serialize_transactions(db))
+    again = parse_transactions(conftest.written(serialize_transactions, db))
     assert again == db
 
 
@@ -112,7 +112,7 @@ def test_serialize_round_trips_quoted_labels():
 @given(conftest.small_dbs())
 def test_serialize_parse_round_trip(db):
     """parse(serialize(db)) reproduces catalog, transactions, and n."""
-    again = parse_transactions(serialize_transactions(db))
+    again = parse_transactions(conftest.written(serialize_transactions, db))
     assert again == db
 
 
@@ -126,12 +126,12 @@ def test_serialize_renders_each_row_as_csv_writer_does(db, separate):
     """One line per distinct transaction, reused for its repeats, quoting included."""
     if separate:
         db = conftest.unshared(db)
-    assert serialize_transactions(db) == conftest.render_rows(db)
+    assert conftest.written(serialize_transactions, db) == conftest.render_rows(db)
 
 
 def test_serialize_repeated_quoted_rows():
     db = parse_transactions('"comma, label",x\n"quote ""label"""\nx,"comma, label"\ny,x\n')
-    assert serialize_transactions(db) == (
+    assert conftest.written(serialize_transactions, db) == (
         '"comma, label",x\n"quote ""label"""\n"comma, label",x\nx,y\n'
     )
 

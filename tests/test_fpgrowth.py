@@ -322,7 +322,7 @@ def dbs_reaching_every_projection_route(draw):
     and takes the merge route.
     """
     threshold = draw(st.integers(min_value=2, max_value=5))
-    random_rows = serialize_transactions(draw(conftest.small_dbs()))
+    random_rows = conftest.written(serialize_transactions, draw(conftest.small_dbs()))
     added = ["ga,gb,gz"] * threshold + ["ga,gc,gz"] + ["gc"] * threshold
     return parse_transactions(random_rows + "\n".join(added) + "\n"), threshold
 

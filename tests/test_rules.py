@@ -320,18 +320,20 @@ def test_rules_from_the_support_csv_match_rules_from_the_table(case, confidence)
     """The rules command's route, itemset CSV -> read -> rules, loses nothing."""
     db, threshold = case
     freq = apriori_mine(db, threshold)
-    read, catalog = read_support_csv(write_frequent_csv(freq, db.catalog))
+    read, catalog = read_support_csv(conftest.written(write_frequent_csv, freq, db.catalog))
     for include_rejected in (False, True):
         direct = generate_rules(freq, db.catalog, confidence, include_rejected)
         routed = generate_rules(read, catalog, confidence, include_rejected)
-        assert label_rows(write_rules_csv(routed, catalog)) == label_rows(
-            write_rules_csv(direct, db.catalog)
+        assert label_rows(conftest.written(write_rules_csv, routed, catalog)) == label_rows(
+            conftest.written(write_rules_csv, direct, db.catalog)
         )
 
 
 def test_write_rules_csv_golden(db5):
     freq = apriori_mine(db5, 3)
-    text = write_rules_csv(generate_rules(freq, db5.catalog, 0.75), db5.catalog)
+    text = conftest.written(
+        write_rules_csv, generate_rules(freq, db5.catalog, 0.75), db5.catalog
+    )
     assert text == (
         "antecedent,consequent,support,confidence,status\n"
         "a,b,3,0.75,Accepted\n"
@@ -348,8 +350,10 @@ def test_write_rules_csv_shortest_round_trip_floats():
     of = catalog.intern("Ongoing fears")
     u18 = catalog.intern("Under 18")
     freq = FrequentItemsets({(of,): 860, (u18,): 1169, (of, u18): 595})
-    text = write_rules_csv(
-        generate_rules(freq, catalog, Fraction("0.40"), include_rejected=True), catalog
+    text = conftest.written(
+        write_rules_csv,
+        generate_rules(freq, catalog, Fraction("0.40"), include_rejected=True),
+        catalog,
     )
     assert "Ongoing fears,Under 18,595,0.6918604651162791,Accepted\n" in text
     assert f"Under 18,Ongoing fears,595,{595 / 1169!r},Accepted\n" in text
