@@ -60,7 +60,6 @@ from .rules import (
     AssociationRule,
     generate_rules,
     meets_confidence,
-    rule_confidence,
     write_rules_csv,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "parse_survey",
     "parse_transactions",
     "read_support_csv",
-    "rule_confidence",
     "run_trial",
     "serialize_transactions",
     "sweep",

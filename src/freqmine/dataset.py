@@ -160,6 +160,8 @@ _PIECE_CHARS = 1 << 16
 # A line end as io.StringIO(newline="") finds it; "\r\n" is one.
 _LINE_END = re.compile(r"\r\n?|\n")
 
+_BOM = "\ufeff"
+
 # CsvRows.converted() gives up its memo once lookups that missed outnumber
 # those that hit by this many: on text whose lines are mostly distinct the
 # memo only costs time and memory.
@@ -167,8 +169,9 @@ _MEMO_GIVE_UP_LEAD = 1024
 
 
 def _pieces(content: str) -> Iterator[str]:
-    """content cut just after a line end every _PIECE_CHARS characters or so."""
-    start = 0
+    """content after one leading _BOM, cut just after a line end every
+    _PIECE_CHARS characters or so."""
+    start = int(content.startswith(_BOM))
     while start < len(content):
         found = _LINE_END.search(content, start + _PIECE_CHARS - 1)
         end = found.end() if found else len(content)
@@ -181,11 +184,11 @@ class CsvRows:
     CsvParseError naming its line.
 
     Lines end at "\r", "\n" or "\r\n" and are not translated, as the csv
-    module asks of a file opened with newline="". A file is read line by
-    line, and whole text one piece at a time, so no second copy of the
-    whole text is made. Read the rows once, either by iterating, which
-    reads every line with one csv.reader, or through converted(), which
-    builds its own.
+    module asks of a file opened with newline="". One leading U+FEFF, a
+    byte order mark, is dropped. A file is read line by line, and whole
+    text one piece at a time, so no second copy of the whole text is made.
+    Read the rows once, either by iterating, which reads every line with
+    one csv.reader, or through converted(), which builds its own.
     """
 
     def __init__(self, source: str | TextIO) -> None:
@@ -194,7 +197,9 @@ class CsvRows:
                 io.StringIO(piece, newline="") for piece in _pieces(source)
             )
         else:
-            self._lines = iter(source)
+            lines = iter(source)
+            first = next(lines, "").removeprefix(_BOM)
+            self._lines = itertools.chain((first,) if first else (), lines)
         self._reader = csv.reader(self._lines, strict=True)
         # Lines that the current reader did not read: those read before it
         # was built, and those that converted()'s memo answered.
@@ -296,9 +301,10 @@ def _intern_labels(
     return shared.setdefault(itemset, itemset)
 
 
-def parse_transactions(content: str, aliases: AliasMap | None = None) -> TransactionDb:
+def parse_transactions(content: str | TextIO, aliases: AliasMap | None = None) -> TransactionDb:
     """Parse one-transaction-per-row CSV into an interned database.
 
+    content is the text or a file opened with newline="" (see CsvRows).
     Every field is an item label. Blank fields are skipped, duplicates within
     a row collapse to one item, and rows may have differing field counts. An
     empty row becomes an empty transaction and still counts toward n. Quoting
@@ -424,10 +430,11 @@ def _parse_age(cell: str, missing_key: str) -> int | None:
 
 
 def parse_survey(
-    content: str, schema: SurveySchema, aliases: AliasMap | None = None
+    content: str | TextIO, schema: SurveySchema, aliases: AliasMap | None = None
 ) -> TransactionDb:
     """Recode a survey export into transactions.
 
+    content is the text or a file opened with newline="" (see CsvRows).
     Each response row becomes one transaction holding its age-bucket item plus
     every impact selected in the multiselect cell. A row whose cells are all
     blank, such as an empty line, is skipped, before the header as after it.

@@ -74,32 +74,28 @@ def brute_force_rules(
         for take in range(1, len(itemset)):
             for antecedent in combinations(itemset, take):
                 sup_antecedent = scan(antecedent)
-                consequent = tuple(i for i in itemset if i not in antecedent)
-                quotient = sup_union / sup_antecedent
                 if isinstance(min_confidence, Fraction):
                     accepted = (
                         sup_union * min_confidence.denominator
                         >= min_confidence.numerator * sup_antecedent
                     )
                 else:
-                    accepted = quotient >= min_confidence
+                    accepted = sup_union / sup_antecedent >= min_confidence
                 if not accepted and not include_rejected:
                     continue
                 out.append(
                     AssociationRule(
                         antecedent,
-                        consequent,
+                        itemset,
                         sup_union,
                         sup_antecedent,
-                        quotient,
                         ACCEPTED if accepted else REJECTED,
                     )
                 )
 
     def order_key(rule: AssociationRule):
-        union = tuple(sorted(rule.antecedent + rule.consequent))
         labels = db.catalog.labels_of
-        return (len(union), labels(union), labels(rule.antecedent))
+        return (len(rule.itemset), labels(rule.itemset), labels(rule.antecedent))
 
     out.sort(key=order_key)
     return out

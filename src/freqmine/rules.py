@@ -1,9 +1,11 @@
 """Association rules from a frequent-itemset table.
 
 Every itemset of size two or more splits into antecedent => consequent for
-each nonempty proper subset. Confidence is kept as an exact integer pair
-alongside its float quotient, so acceptance against a Fraction threshold
-never suffers rounding at the boundary.
+each nonempty proper subset. A rule stores its antecedent, its itemset, the
+two supports and its status; the consequent and the float confidence are
+derived from them. Confidence is kept as an exact integer pair, so
+acceptance against a Fraction threshold never suffers rounding at the
+boundary.
 """
 
 from __future__ import annotations
@@ -23,20 +25,6 @@ ACCEPTED = "Accepted"
 REJECTED = "Rejected"
 
 RULES_CSV_HEADER = ("antecedent", "consequent", "support", "confidence", "status")
-
-
-def rule_confidence(sup_union: int, sup_antecedent: int) -> tuple[int, int, float]:
-    """Confidence as (numerator, denominator, float quotient).
-
-    The quotient is the correctly rounded double of the exact ratio. Counts
-    must satisfy 1 <= sup_union <= sup_antecedent.
-    """
-    if not 1 <= sup_union <= sup_antecedent:
-        raise ContractViolationError(
-            f"confidence counts out of range: union={sup_union}, "
-            f"antecedent={sup_antecedent}"
-        )
-    return sup_union, sup_antecedent, sup_union / sup_antecedent
 
 
 def meets_confidence(num: int, den: int, min_confidence: float | Fraction) -> bool:
@@ -83,18 +71,28 @@ def confidence_limit(min_confidence: float | Fraction) -> Callable[[int], int | 
 class AssociationRule:
     """antecedent => consequent with its support and confidence evidence.
 
-    support counts transactions containing the whole itemset (antecedent and
-    consequent together), and confidence_den those containing the
-    antecedent. confidence is support / confidence_den, correctly rounded;
-    the two counts keep the exact ratio.
+    itemset is the whole itemset, antecedent and consequent together;
+    generate_rules gives every rule of one itemset the same tuple. support
+    counts the transactions containing the itemset, and confidence_den those
+    containing the antecedent; the two counts keep the exact confidence.
     """
 
     antecedent: Itemset
-    consequent: Itemset
+    itemset: Itemset
     support: int
     confidence_den: int
-    confidence: float
     status: str
+
+    @property
+    def consequent(self) -> Itemset:
+        """The itemset's items not in the antecedent, in handle order."""
+        antecedent = self.antecedent
+        return tuple(item for item in self.itemset if item not in antecedent)
+
+    @property
+    def confidence(self) -> float:
+        """support / confidence_den, correctly rounded."""
+        return self.support / self.confidence_den
 
 
 def generate_rules(
@@ -146,7 +144,7 @@ def generate_rules(
     for itemset in sorted_itemsets(yielding, catalog):
         sup_union = support[itemset]
         limit = limit_of(sup_union)
-        kept: list[tuple[Itemset, int, bool]] = []
+        kept: list[AssociationRule] = []
         size = len(itemset)
         level: Iterable[Itemset] = combinations(itemset, size - 1)
         for take in range(size - 2, -1, -1):
@@ -155,7 +153,9 @@ def generate_rules(
                 sup_antecedent = support[antecedent]
                 accepted = sup_antecedent <= limit
                 if accepted or include_rejected:
-                    kept.append((antecedent, sup_antecedent, accepted))
+                    status = ACCEPTED if accepted else REJECTED
+                    rule = AssociationRule(antecedent, itemset, sup_union, sup_antecedent, status)
+                    kept.append(rule)
                     survivors.append(antecedent)
             # A rejected antecedent's subsets are rejected too: a smaller one
             # needs all size - take of its supersets one item larger kept,
@@ -166,18 +166,8 @@ def generate_rules(
                 level = combinations(itemset, take)
             else:
                 level = {smaller for larger in survivors for smaller in combinations(larger, take)}
-        kept.sort(key=lambda split: tuple(map(rank, split[0])))
-        for antecedent, sup_antecedent, accepted in kept:
-            out.append(
-                AssociationRule(
-                    antecedent,
-                    tuple(item for item in itemset if item not in antecedent),
-                    sup_union,
-                    sup_antecedent,
-                    sup_union / sup_antecedent,
-                    ACCEPTED if accepted else REJECTED,
-                )
-            )
+        kept.sort(key=lambda rule: tuple(map(rank, rule.antecedent)))
+        out += kept
     return out
 
 
@@ -194,7 +184,11 @@ def _raise_first_bad_split(
                     "no stored support for antecedent "
                     f"{LABEL_JOINER.join(catalog.labels_of(antecedent))!r}"
                 )
-            rule_confidence(sup_union, sup_antecedent)
+            if not 1 <= sup_union <= sup_antecedent:
+                raise ContractViolationError(
+                    f"confidence counts out of range: union={sup_union}, "
+                    f"antecedent={sup_antecedent}"
+                )
 
 
 def write_rules_csv(

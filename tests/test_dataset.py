@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import conftest
 from freqmine import dataset
+from freqmine.apriori import read_support_csv
 from freqmine.dataset import (
     CsvRows,
     ItemCatalog,
@@ -439,7 +440,8 @@ def test_csv_rows_read_like_csv_reader_over_stringio_one_line_per_piece(content)
 
 
 def _assert_reads_like_csv_reader_over_stringio(content):
-    reader = csv.reader(io.StringIO(content, newline=""), strict=True)
+    """CsvRows reads content as csv.reader does, after one leading U+FEFF."""
+    reader = csv.reader(io.StringIO(content.removeprefix("\ufeff"), newline=""), strict=True)
     expected, expected_error = [], None
     try:
         expected.extend(reader)
@@ -452,6 +454,28 @@ def _assert_reads_like_csv_reader_over_stringio(content):
     except CsvParseError as exc:
         error = str(exc)
     assert (got, error, rows.line_num) == (expected, expected_error, reader.line_num)
+
+
+_BOM_PARSERS = {
+    "parse_transactions": (parse_transactions, "a,b\na,c\n"),
+    "parse_alias_csv": (parse_alias_csv, "a,Anxiety\n"),
+    "parse_survey": (lambda source: parse_survey(source, SurveySchema()), "age,impacts\n20,a\n"),
+    "read_support_csv": (read_support_csv, "itemset,support\na,3\n"),
+}
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["text", "file"])
+@pytest.mark.parametrize("parse, text", list(_BOM_PARSERS.values()), ids=list(_BOM_PARSERS))
+def test_a_leading_byte_order_mark_does_not_change_what_is_parsed(parse, text, from_file, tmp_path):
+    def parsed(content):
+        if not from_file:
+            return parse(content)
+        path = tmp_path / "source.csv"
+        path.write_text(content, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as handle:
+            return parse(handle)
+
+    assert parsed("\ufeff" + text) == parsed(text)
 
 
 def test_bare_cr_line_ends_split_rows_and_quoted_line_breaks_stay():

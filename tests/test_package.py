@@ -1,10 +1,12 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself, and
+exports exactly its public names."""
 
 from __future__ import annotations
 
 import ast
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -32,3 +34,27 @@ def test_module_imports_only_the_standard_library(module):
     tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
     foreign = _imported_roots(tree) - set(sys.stdlib_module_names) - {"freqmine"}
     assert not foreign, f"{module.name} imports {sorted(foreign)}"
+
+
+def _isort_key(name: str) -> tuple[int, str]:
+    """Constants, then classes, then the rest, each in code-point order."""
+    kind = 0 if name.isupper() else 1 if name[0].isupper() else 2
+    return kind, name
+
+
+def test_all_lists_exactly_the_public_names_in_order():
+    import freqmine
+
+    exported = freqmine.__all__
+    assert exported == sorted(set(exported), key=_isort_key)
+    bound = {
+        name
+        for name, value in vars(freqmine).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert set(exported) == bound
+    namespace: dict[str, object] = {}
+    exec("from freqmine import *", namespace)
+    assert {name: namespace[name] for name in exported} == {
+        name: getattr(freqmine, name) for name in exported
+    }

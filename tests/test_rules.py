@@ -24,26 +24,20 @@ from freqmine.oracle import brute_force_rules
 from freqmine.rules import (
     ACCEPTED,
     REJECTED,
+    AssociationRule,
     confidence_limit,
     generate_rules,
     meets_confidence,
-    rule_confidence,
     write_rules_csv,
 )
 
 
-def test_rule_confidence_returns_exact_pair_and_quotient():
-    assert rule_confidence(3, 4) == (3, 4, 0.75)
-    num, den, quotient = rule_confidence(399, 987)
-    assert (num, den) == (399, 987)
-    assert repr(quotient) == "0.40425531914893614"
-
-
-def test_rule_confidence_rejects_bad_counts():
-    with pytest.raises(ContractViolationError):
-        rule_confidence(0, 4)
-    with pytest.raises(ContractViolationError):
-        rule_confidence(5, 4)
+def test_rule_derives_its_consequent_and_confidence():
+    rule = AssociationRule((0, 2), (0, 1, 2, 3), 399, 987, ACCEPTED)
+    assert rule.consequent == (1, 3)
+    assert repr(rule.confidence) == "0.40425531914893614"
+    assert rule == AssociationRule((0, 2), (0, 1, 2, 3), 399, 987, ACCEPTED)
+    assert rule != AssociationRule((0, 2), (0, 1, 2, 3), 399, 988, ACCEPTED)
 
 
 def test_meets_confidence_boundary_is_inclusive():
@@ -181,6 +175,16 @@ def test_generate_rules_names_the_first_support_below_one_in_sorted_order():
         assert str(exc_info.value) == "confidence counts out of range: union=0, antecedent=3"
 
 
+def test_generate_rules_names_an_antecedent_with_less_support_than_its_itemset():
+    catalog = ItemCatalog()
+    a, b = catalog.intern("a"), catalog.intern("b")
+    freq = FrequentItemsets({(a, b): 5, (a,): 4, (b,): 6})
+    for include_rejected in (False, True):
+        with pytest.raises(ContractViolationError) as exc_info:
+            generate_rules(freq, catalog, 0.5, include_rejected)
+        assert str(exc_info.value) == "confidence counts out of range: union=5, antecedent=4"
+
+
 def test_generate_rules_ordering():
     db = parse_transactions("x,m,a\nx,m,a\nx,m\nx,a\nm,a\n")
     freq = apriori_mine(db, 2)
@@ -277,11 +281,15 @@ def test_every_itemset_splits_into_all_rules(case):
 def test_rule_fields_are_internally_consistent(case):
     db, threshold = case
     freq = apriori_mine(db, threshold)
+    # Each rule holds the table's own key, so one itemset's rules share one tuple.
+    table_key = {itemset: itemset for itemset in freq.support}
     for rule in generate_rules(freq, db.catalog, 0.3, include_rejected=True):
         assert rule.confidence == rule.support / rule.confidence_den
         assert set(rule.antecedent).isdisjoint(rule.consequent)
-        union = tuple(sorted(rule.antecedent + rule.consequent))
-        assert freq.support[union] == rule.support
+        assert rule.consequent == tuple(i for i in rule.itemset if i not in rule.antecedent)
+        assert rule.itemset == tuple(sorted(rule.antecedent + rule.consequent))
+        assert rule.itemset is table_key[rule.itemset]
+        assert freq.support[rule.itemset] == rule.support
         assert freq.support[rule.antecedent] == rule.confidence_den
 
 
