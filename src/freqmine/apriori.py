@@ -419,19 +419,21 @@ def read_support_csv(source: str | TextIO) -> tuple[FrequentItemsets, ItemCatalo
 
     source is the text or a file opened with newline="", read line by line
     (see CsvRows). The header row is optional ("itemset,support" or
-    "itemset,count"). Labels within a row are '|'-separated; blank parts
-    are skipped, and a row whose itemset cell has no label is skipped when
-    all its cells are blank and rejected otherwise. Conflicting duplicate
-    rows raise ValidationError, naming the physical line on which the row
-    ends; identical duplicates collapse.
+    "itemset,count"); blank rows may come before it, data rows may not.
+    Labels within a row are '|'-separated; blank parts are skipped, and a
+    row whose itemset cell has no label is skipped when all its cells are
+    blank and rejected otherwise. Conflicting duplicate rows raise
+    ValidationError, naming the physical line on which the row ends;
+    identical duplicates collapse.
 
     Each distinct label spelling is resolved once, by the catalog's memo.
     """
     catalog = ItemCatalog()
     support: dict[Itemset, int] = {}
     rows = CsvRows(source)
-    for index, row in enumerate(rows):
-        if index == 0 and tuple(cell.strip().casefold() for cell in row[:2]) in {
+    for row in rows:
+        # support is empty until the first data row.
+        if not support and tuple(cell.strip().casefold() for cell in row[:2]) in {
             ("itemset", "support"),
             ("itemset", "count"),
         }:

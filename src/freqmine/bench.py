@@ -23,7 +23,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .apriori import AprioriStats, apriori_mine
-from .dataset import ItemCatalog, TransactionDb
+from .dataset import ItemCatalog, TransactionDb, support_threshold
 from .errors import ValidationError
 from .fpgrowth import TreeStats, fpgrowth_mine
 
@@ -91,8 +91,9 @@ def _sample_distinct(
 
     Rejection sampling against the cumulative weights, with a bounded number
     of attempts; if collisions exhaust the budget (tiny pools, heavy skew),
-    the remainder is drawn by renormalizing over the unchosen indices so the
-    draw always terminates.
+    each remaining index is drawn by bisecting the running weights of the
+    unchosen indices, so the draw always terminates. No draw totals with
+    sum(), which compensates from Python 3.12 on and so differs by version.
     """
     n = len(weights)
     if count >= n:
@@ -108,17 +109,9 @@ def _sample_distinct(
     if len(chosen) < count:
         remaining = [i for i in range(n) if i not in chosen]
         while len(chosen) < count:
-            rest_total = sum(weights[i] for i in remaining)
-            target = rng.random() * rest_total
-            acc = 0.0
-            pick = remaining[-1]
-            for i in remaining:
-                acc += weights[i]
-                if target < acc:
-                    pick = i
-                    break
-            chosen.add(pick)
-            remaining.remove(pick)
+            running = list(accumulate(weights[i] for i in remaining))
+            index = bisect_right(running, rng.random() * running[-1])
+            chosen.add(remaining.pop(min(index, len(remaining) - 1)))
     return sorted(chosen)
 
 
@@ -312,10 +305,7 @@ def sweep(
             db, threshold = shared_db, int(value)
         else:
             db = generate_synthetic(shapes[value])
-            if min_support is not None:
-                threshold = min_support
-            else:
-                threshold = max(1, math.ceil(min_support_frac * db.n))
+            threshold = support_threshold(min_support, min_support_frac, db.n)
         for algorithm in MINERS:
             trials = [run_trial(db, threshold, algorithm) for _ in range(repetitions)]
             rows.append(summarize(axis, value, trials))

@@ -39,6 +39,7 @@ from .dataset import (
     parse_survey,
     parse_transactions,
     serialize_transactions,
+    support_threshold,
 )
 from .errors import MiningError, ValidationError
 from .fpgrowth import fpgrowth_mine
@@ -55,12 +56,12 @@ _ALGORITHMS = ("apriori", "fpgrowth", "bruteforce")
 
 @contextmanager
 def _opened_input(path: str) -> Iterator[TextIO]:
-    """path as UTF-8 text, a byte order mark skipped, line ends untranslated.
+    """path as UTF-8 text, line ends untranslated; CsvRows drops a byte order mark.
 
     A byte that is not UTF-8 raises ValidationError naming path, also when
     it is met on a later line of a file read line by line.
     """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
         try:
             yield handle
         except UnicodeDecodeError as exc:
@@ -151,12 +152,6 @@ def _add_support_options(parser: argparse.ArgumentParser, required: bool) -> Non
     )
 
 
-def _resolve_support(args: argparse.Namespace, n: int) -> int:
-    if args.min_support is not None:
-        return args.min_support
-    return max(1, ceil(args.min_support_frac * n))
-
-
 def _load_aliases(args: argparse.Namespace):
     if args.alias_file is None:
         return None
@@ -174,7 +169,7 @@ def _mine_db(db: TransactionDb, threshold: int, algorithm: str):
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     db = parse_transactions(_read_text(args.input), _load_aliases(args))
-    threshold = _resolve_support(args, db.n)
+    threshold = support_threshold(args.min_support, args.min_support_frac, db.n)
     freq = _mine_db(db, threshold, args.algorithm)
     # The writer refuses such a label too, but only once the output is open.
     check_joinable(db.catalog)
@@ -200,7 +195,7 @@ def _cmd_rules(args: argparse.Namespace) -> int:
             )
             return EXIT_USAGE
         db = parse_transactions(_read_text(args.input), _load_aliases(args))
-        threshold = _resolve_support(args, db.n)
+        threshold = support_threshold(args.min_support, args.min_support_frac, db.n)
         freq = _mine_db(db, threshold, args.algorithm or "apriori")
         catalog = db.catalog
     else:

@@ -16,7 +16,9 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
+from math import ceil
 from typing import Any, Callable, Iterator, TextIO, TypeVar
 
 from .errors import CsvParseError, SchemaError, ValidationError
@@ -151,6 +153,13 @@ class TransactionDb:
     def n(self) -> int:
         """Number of transactions, empty ones included."""
         return len(self.transactions)
+
+
+def support_threshold(min_support: int | None, min_support_frac: Fraction | None, n: int) -> int:
+    """min_support if given, else min_support_frac of n, rounded up and at least 1."""
+    if min_support is not None:
+        return min_support
+    return max(1, ceil(min_support_frac * n))
 
 
 # CsvRows hands the text to csv.reader in pieces of about this many
@@ -438,21 +447,23 @@ def parse_survey(
     Each response row becomes one transaction holding its age-bucket item plus
     every impact selected in the multiselect cell. A row whose cells are all
     blank, such as an empty line, is skipped, before the header as after it.
-    The first other row must be a header naming both schema columns; a
-    missing column raises SchemaError. Missing or marker-valued ages recode
-    to the missing-age bucket; a non-integer age raises ValidationError, as
-    does a negative one.
+    The first other row must be a header naming each schema column once; a
+    column it lacks or names twice raises SchemaError, while other columns
+    may share a name. Missing or marker-valued ages recode to the
+    missing-age bucket; a non-integer age raises ValidationError, as does a
+    negative one.
     """
     rows = iter(CsvRows(content))
     header = next((row for row in rows if any(map(str.strip, row))), None)
     if header is None:
         raise SchemaError("survey file has no header row")
-    positions = {name.strip(): index for index, name in enumerate(header)}
+    names = [name.strip() for name in header]
     for column in (schema.age_column, schema.impact_column):
-        if column not in positions:
-            raise SchemaError(f"missing survey column: {column!r}")
-    age_at = positions[schema.age_column]
-    impact_at = positions[schema.impact_column]
+        if names.count(column) != 1:
+            problem = "repeated" if column in names else "missing"
+            raise SchemaError(f"{problem} survey column: {column!r}")
+    age_at = names.index(schema.age_column)
+    impact_at = names.index(schema.impact_column)
 
     missing_key = normalize_label(schema.missing_age_label)
     catalog = ItemCatalog(aliases)

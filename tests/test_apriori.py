@@ -411,6 +411,24 @@ def test_read_support_csv_headerless_and_count_header():
         assert by_labels(freq, catalog) == {("a",): 3}
 
 
+@pytest.mark.parametrize("blank", ["\n", "\r\n", " , \n"], ids=["lf", "crlf", "blank_cells"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["text", "file"])
+def test_read_support_csv_header_may_follow_blank_rows(blank, from_file, tmp_path):
+    text = "itemset,support\na,3\nb,3\na|b,2\n"
+
+    def parsed(content):
+        if not from_file:
+            return read_support_csv(content)
+        path = tmp_path / "supports.csv"
+        path.write_text(content, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as handle:
+            return read_support_csv(handle)
+
+    freq, catalog = parsed(blank * 2 + text)
+    assert (freq, catalog) == parsed(text)
+    assert catalog.labels == ("a", "b")
+
+
 def test_read_support_csv_duplicate_handling():
     freq, _ = read_support_csv("a|b,3\nb|a,3\n")
     assert len(freq.support) == 1
@@ -457,6 +475,8 @@ def test_read_support_csv_normalizes_each_spelling_once(monkeypatch):
         ("a|b,3\n,\n\nb||A,4\n", "support line 4: conflicting counts for 'b||A'"),
         ("a,3\nb,x\n", "support line 2: count is not an integer: 'x'"),
         ("itemset,count\n\na,2.0\n", "support line 3: count is not an integer: '2.0'"),
+        ("\n , \nitemset,count\na,x\n", "support line 4: count is not an integer: 'x'"),
+        ("a,3\nitemset,support\n", "support line 2: count is not an integer: 'support'"),
         ('"a\nb",3\nc,\n', "support line 3: count is not an integer: ''"),
     ],
 )

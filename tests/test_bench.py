@@ -1,10 +1,12 @@
 """Benchmark harness: synthetic generation, trials, sweeps, report formats."""
 
+import hashlib
 import json
 import statistics
 
 import pytest
 
+import conftest
 from freqmine import bench
 from freqmine.bench import (
     APRIORI,
@@ -19,7 +21,7 @@ from freqmine.bench import (
     summarize,
     sweep,
 )
-from freqmine.dataset import parse_transactions
+from freqmine.dataset import parse_transactions, serialize_transactions
 from freqmine.errors import ValidationError
 
 
@@ -89,14 +91,23 @@ def test_generate_synthetic_length_clamped_to_item_count():
     assert all(1 <= len(t) <= 3 for t in db.transactions)
 
 
+# Heavy skew over a small pool exhausts _sample_distinct's rejection budget,
+# so the rest of each draw bisects the unchosen items' running weights. Each
+# database's serialize_transactions output is pinned by its SHA-256 prefix,
+# so equal params must give the same database on every Python version.
+FALLBACK_DIGESTS = {
+    SynthParams(20, 30, 20.0, 40.0, 0): "0c08b3c10fbdf326",
+    SynthParams(200, 12, 6.0, float("inf"), 3): "6ff2efff3fdf8825",
+    SynthParams(500, 8, 5.0, 6.0, 7): "d09b255d4774a9c2",
+}
+
+
 @pytest.mark.parametrize(
     "params",
     [
         # mean_len above 500 takes _poisson's normal approximation.
         SynthParams(3, 1000, 600.0, 1.0, 0),
-        # Heavy skew over a small pool exhausts _sample_distinct's rejection
-        # budget, so the rest of the draw renormalizes over unchosen items.
-        SynthParams(20, 30, 20.0, 40.0, 0),
+        *FALLBACK_DIGESTS,
     ],
 )
 def test_generate_synthetic_fallback_draws(params):
@@ -106,6 +117,9 @@ def test_generate_synthetic_fallback_draws(params):
     for transaction in db.transactions:
         assert list(transaction) == sorted(set(transaction))
         assert 1 <= len(transaction) <= params.n_items
+    if params in FALLBACK_DIGESTS:
+        text = conftest.written(serialize_transactions, db)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == FALLBACK_DIGESTS[params]
 
 
 def test_generate_synthetic_skew_prefers_low_ranks():

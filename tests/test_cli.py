@@ -208,6 +208,17 @@ def test_rules_support_csv_ignores_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out == DB5_RULES_GOLDEN
 
 
+@pytest.mark.parametrize("blank", ["\n", "\r\n", " , \n"], ids=["lf", "crlf", "blank_cells"])
+def test_rules_support_csv_header_may_follow_blank_rows(blank, tmp_path, capsys):
+    table = tmp_path / "supports.csv"
+    table.write_bytes((blank * 2 + DB5_FREQ_GOLDEN).encode("utf-8"))
+    code = run_cli(
+        ["rules", "--support-csv", str(table), "--min-confidence", "0.75"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == DB5_RULES_GOLDEN
+
+
 def test_rules_boundary_is_exact(db5_file, capsys):
     # 0.75 is accepted at confidence 3/4; one step above rejects everything
     code = run_cli(
@@ -482,6 +493,16 @@ def test_recode_missing_column_names_it(tmp_path, capsys):
     path.write_text("age,impacts\n20,Anxiety\n", encoding="utf-8")
     assert run_cli(["recode", str(path), "--impact-column", "nope"]) == 1
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, column", [("age,impacts,age", "age"), ("age,impacts,impacts", "impacts")])
+def test_recode_rejects_a_schema_column_named_twice(header, column, tmp_path, capsys):
+    path = tmp_path / "survey.csv"
+    path.write_text(f"{header}\n12,x,40\n", encoding="utf-8")
+    out = tmp_path / "recoded.csv"
+    assert run_cli(["recode", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: repeated survey column: {column!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("delimiter", [",", "ab", ""])

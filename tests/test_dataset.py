@@ -224,6 +224,16 @@ def test_parse_survey_missing_column_names_it():
     assert "impacts" in str(exc_info.value)
 
 
+@pytest.mark.parametrize("header, column", [("age,impacts,age", "age"), ("age,impacts,impacts", "impacts")])
+def test_parse_survey_rejects_a_schema_column_named_twice(header, column):
+    with pytest.raises(SchemaError) as exc_info:
+        parse_survey(f"{header}\n12,x,40\n", SurveySchema())
+    assert str(exc_info.value) == f"repeated survey column: {column!r}"
+    # Other columns may share a name.
+    db = parse_survey("note,age,note,impacts\na,12,b,x\n", SurveySchema())
+    assert db.catalog.labels_of(db.transactions[0]) == ("Under 18", "x")
+
+
 def test_parse_survey_no_header():
     with pytest.raises(SchemaError):
         parse_survey("", SurveySchema())
