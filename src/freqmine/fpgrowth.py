@@ -1,19 +1,22 @@
-"""FP-Growth mining over a prefix tree held as parallel lists.
+"""FP-Growth mining over conditional pattern bases held as rank bitmasks.
 
-Items are ranked once, by descending frequency (label order breaks ties), and
-every tree is built in that rank space: parallel parents/ranks/counts lists
-plus one chain of node indices and one total per rank, with order mapping
-each rank back to its item. Mining walks the ranks from the least frequent
-upward. Each rank's conditional tree is projected from the shared ancestors
-of its nodes: every ancestor is reached once, its count summed bottom-up
-once, and the infrequent ranks dropped as the tree is built. The walk marks
-ancestors in one array per tree, allocated by the tree's first projection and
-reused by the rest, with only the touched entries reset after each; a tree
-is therefore not safe to project from two threads at once. A projected tree
-shares its parent's order. The path-by-path reference route gives the same
-trees: conditional_pattern_base(tree, item) lists the prefix paths above an
-item's nodes with their counts, and build_conditional_tree inserts that list
-into a tree of its own. Output matches the levelwise miner exactly.
+Items are ranked once, by descending frequency (label order breaks ties).
+Each conditional pattern base (Han, Pei & Yin, SIGMOD 2000) is a RankedTree:
+every path is one int with a bit per rank, mapped to its count, much as
+H-Mine (Pei et al., ICDM 2001) keeps its bases in arrays, and no conditional
+tree is built. The top-level base folds the distinct transactions straight
+into masks over the frequent ranks. A base's masks are bucketed by their
+highest rank, and the ranks are walked from the least frequent upward: a
+rank's support is its bucket's summed count, and each of its masks, with the
+rank's bit cleared, moves into the bucket of its new highest rank. Only a
+frequent rank also keeps the cleared masks as its own base and recurses into
+it. Infrequent ranks are never stripped from a mask, only never emitted.
+
+The FP-tree stays as the path-by-path reference route: build_fptree builds
+the top-level tree, conditional_pattern_base(tree, item) lists the prefix
+paths above an item's nodes with their counts, and build_conditional_tree
+inserts that list into a tree of its own. Output matches the levelwise miner
+exactly.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from .errors import ValidationError
 # Sentinel rank for the root node; never a valid rank or catalog handle.
 ROOT_ITEM: ItemId = -1
 
-# Fixed memory model, so memory proxies compare across platforms: every tree
-# node is charged the same number of bytes. An accounting constant, not a
-# claim about the interpreter's real allocations.
+# Fixed memory model, so memory proxies compare across platforms: every mask
+# entry of a conditional pattern base is charged the same number of bytes. An
+# accounting constant, not a claim about the interpreter's real allocations.
 TREE_NODE_BYTES = 160
 
 
@@ -39,21 +42,14 @@ class FPTree:
     """A prefix tree held as parallel lists, in header-rank space.
 
     order[r] is the item of rank r. Node 0 is the root. Every node's parent
-    has a smaller index, so ascending index order is top-down and descending
-    order is bottom-up; the top-level tree numbers its nodes depth-first.
+    has a smaller index; the top-level tree numbers its nodes depth-first.
     chains[r] lists the nodes of rank r in ascending index order and
-    totals[r] is their summed count; a rank with no nodes has an empty chain
-    and a zero total. The top-level tree's paths ascend in rank, and a
-    projected tree shares its parent's order and keeps its ranks, so its
-    paths ascend too. build_conditional_tree ranks by its own header and
-    keeps each path's order.
-
-    walk is project's scratch array, one entry per node: None until the
-    first projection, then kept with every entry but the root's at -1
-    between projections.
+    totals[r] is their summed count. The top-level tree's paths ascend in
+    rank. build_conditional_tree ranks by its own header and keeps each
+    path's order.
     """
 
-    __slots__ = ("catalog", "order", "parents", "ranks", "counts", "chains", "totals", "walk")
+    __slots__ = ("catalog", "order", "parents", "ranks", "counts", "chains", "totals")
 
     def __init__(self, catalog: ItemCatalog, order: list[ItemId], totals: list[int]) -> None:
         self.catalog = catalog
@@ -63,131 +59,93 @@ class FPTree:
         self.counts = [0]
         self.chains: list[list[int]] = [[] for _ in totals]
         self.totals = totals
-        self.walk: list[int] | None = None
 
     @property
     def node_count(self) -> int:
         return len(self.parents) - 1
 
+
+class RankedTree:
+    """A conditional pattern base, each prefix path a bitmask of its ranks.
+
+    Bit r of a mask is set when the path holds order[r], the item of rank r;
+    order is shared by every base of one run. buckets[r] maps each mask whose
+    highest set bit is r to its count, and is None while it holds no mask;
+    masks only ever move to lower buckets. node_count is the number of masks
+    the base was built with. The class keeps the name under which
+    perfbench/trace_cli.py times project.
+    """
+
+    __slots__ = ("order", "buckets", "node_count")
+
+    def __init__(
+        self, order: list[ItemId], buckets: list[dict[int, int] | None], node_count: int
+    ) -> None:
+        self.order = order
+        self.buckets = buckets
+        self.node_count = node_count
+
     # perfbench/trace_cli.py times this call by name as fpgrowth.rank_copy;
-    # it goes when the program reports its own trace (ROADMAP item 1).
+    # mining no longer makes it, and it goes when the program reports its own
+    # trace (ROADMAP item 5).
     @classmethod
     def from_fptree(cls, tree: FPTree, header: Mapping[ItemId, int]) -> FPTree:
         return tree
 
-    def project(self, rank: int, min_support: int) -> FPTree:
-        """Conditional tree of one rank, built from its nodes' shared ancestors.
+    def fold(self, rank: int) -> None:
+        """Empty a rank's bucket into the lower buckets.
 
-        Each chain node's parent collects the node's count, and the walk up
-        from it stops at the first ancestor already reached, so every
-        ancestor is visited once. One bottom-up pass then sums the counts
-        and the conditional totals. Ranks below min_support are dropped and
-        the rest are linked under their nearest kept ancestor, merging nodes
-        whose kept paths coincide. When no reached rank is dropped, nothing
-        can merge, so the ancestors are copied in one pass with no merge
-        lookups. The result has the same nodes and counts as
-        build_conditional_tree over conditional_pattern_base.
-
-        The walk writes to the tree's walk array, allocated by the first call
-        and reused by later ones; every entry the walk touched is reset before
-        returning. So calls on one tree must not overlap, as they could if two
-        threads projected it at once.
+        Each mask, with the rank's bit cleared, adds its count to its entry in
+        the bucket of its new highest rank, so the lower ranks still count
+        every path through them. A mask of the rank alone leaves no path.
         """
-        parents, ranks, counts = self.parents, self.ranks, self.counts
-        # reached[i] is -1 until the walk reaches node i, then the summed
-        # count of the chain nodes below it: direct children during the walk,
-        # all descendants after the bottom-up pass. The root counts as
-        # reached so every walk stops there.
-        reached = self.walk
-        if reached is None:
-            reached = self.walk = [-1] * len(parents)
-        reached[0] = 0
-        ancestors: list[int] = []
-        add_ancestor = ancestors.append
-        try:
-            for node in self.chains[rank]:
-                above = parents[node]
-                seen = reached[above]
-                if seen >= 0:
-                    reached[above] = seen + counts[node]
-                    continue
-                reached[above] = counts[node]
-                add_ancestor(above)
-                above = parents[above]
-                while reached[above] < 0:
-                    reached[above] = 0
-                    add_ancestor(above)
-                    above = parents[above]
-            ancestors.sort(reverse=True)
-            totals = [0] * rank
-            for node in ancestors:
-                below = reached[node]
-                reached[parents[node]] += below
-                totals[ranks[node]] += below
-            kept = [total >= min_support for total in totals]
-            if not any(kept):
-                return FPTree(self.catalog, self.order, [])
-            # Once a node is placed, reached[] holds its image in the projected
-            # tree: its own new node, or its nearest kept ancestor's.
-            reached[0] = 0
-            if kept.count(False) == totals.count(0):
-                # Every rank below min_support went unreached, so every ancestor
-                # is kept and becomes exactly one node: no FP-tree node has two
-                # children of one rank, so no two ancestors can merge.
-                projected = FPTree(self.catalog, self.order, totals)
-                new_parents, new_ranks = projected.parents, projected.ranks
-                new_counts, chains = projected.counts, projected.chains
-                add_parent, add_rank = new_parents.append, new_ranks.append
-                add_count = new_counts.append
-                for child, node in enumerate(reversed(ancestors), 1):
-                    node_rank = ranks[node]
-                    add_parent(reached[parents[node]])
-                    add_rank(node_rank)
-                    add_count(reached[node])
-                    chains[node_rank].append(child)
-                    reached[node] = child
-                return projected
-            projected = FPTree(
-                self.catalog,
-                self.order,
-                [total if keep else 0 for total, keep in zip(totals, kept)],
-            )
-            new_parents, new_ranks = projected.parents, projected.ranks
-            new_counts, chains = projected.counts, projected.chains
-            children: dict[int, int] = {}
-            for node in reversed(ancestors):
-                node_rank = ranks[node]
-                parent = reached[parents[node]]
-                if kept[node_rank]:
-                    # node_rank < rank, so the key names one (parent, rank) pair.
-                    key = parent * rank + node_rank
-                    child = children.get(key)
-                    if child is None:
-                        child = children[key] = len(new_parents)
-                        new_parents.append(parent)
-                        new_ranks.append(node_rank)
-                        new_counts.append(reached[node])
-                        chains[node_rank].append(child)
-                    else:
-                        new_counts[child] += reached[node]
-                    reached[node] = child
+        buckets, bit = self.buckets, 1 << rank
+        bucket = buckets[rank]
+        buckets[rank] = None
+        for mask, count in bucket.items():
+            if rest := mask ^ bit:
+                top = rest.bit_length() - 1
+                below = buckets[top]
+                if below is None:
+                    buckets[top] = {rest: count}
                 else:
-                    reached[node] = parent
-            return projected
-        finally:
-            for node in ancestors:
-                reached[node] = -1
+                    below[rest] = below.get(rest, 0) + count
 
+    def project(self, rank: int) -> RankedTree:
+        """The rank's own base, folding its bucket into the lower ones as fold does.
 
-# perfbench/trace_cli.py patches the tree class under this name; the alias
-# goes when the program reports its own trace (ROADMAP item 1).
-RankedTree = FPTree
+        The base holds the bucket's masks with the rank's bit cleared, each
+        with its count, and is as wide as the rank. Masks of one bucket are
+        distinct and share their highest bit, so the cleared masks are
+        distinct too, and only the mask of the rank alone is left out.
+        """
+        buckets, bit = self.buckets, 1 << rank
+        bucket = buckets[rank]
+        buckets[rank] = None
+        sub: list[dict[int, int] | None] = [None] * rank
+        for mask, count in bucket.items():
+            if rest := mask ^ bit:
+                top = rest.bit_length() - 1
+                own = sub[top]
+                if own is None:
+                    sub[top] = {rest: count}
+                else:
+                    own[rest] = count
+                below = buckets[top]
+                if below is None:
+                    buckets[top] = {rest: count}
+                else:
+                    below[rest] = below.get(rest, 0) + count
+        return RankedTree(self.order, sub, len(bucket) - (bit in bucket))
 
 
 @dataclass
 class TreeStats:
-    """Node-creation counters across a mining run, conditional trees included.
+    """Mask-entry counters across a mining run, every conditional base included.
 
+    nodes_created counts the mask entries of every base built, and
+    peak_alive_nodes the most entries that the bases still being mined were
+    built with at once.
     work_counter and mem_proxy_bytes are the figures the benchmark harness
     reports for every miner.
     """
@@ -202,7 +160,7 @@ class TreeStats:
 
     @property
     def mem_proxy_bytes(self) -> int:
-        """Peak count of live nodes under the fixed byte model."""
+        """Peak count of live mask entries under the fixed byte model."""
         return self.peak_alive_nodes * TREE_NODE_BYTES
 
     def created(self, count: int = 1) -> None:
@@ -257,6 +215,21 @@ def _build(
     return tree
 
 
+def _count_and_rank(
+    db: TransactionDb, min_support: int
+) -> tuple[Counter[Itemset], dict[ItemId, int], list[ItemId]]:
+    """The distinct transactions with their counts, the item totals and the header order.
+
+    Equal transactions are counted first, and the same fold is handed to
+    item_frequencies for the totals.
+    """
+    if min_support < 1:
+        raise ValidationError(f"min_support must be >= 1, got {min_support}")
+    distinct = Counter(db.transactions)
+    totals = item_frequencies(db, distinct)
+    return distinct, totals, _frequent_order(totals, min_support, db.catalog)
+
+
 def build_fptree(db: TransactionDb, min_support: int) -> tuple[FPTree, dict[ItemId, int]]:
     """Two-pass construction: count items, then insert each ranked transaction.
 
@@ -268,11 +241,7 @@ def build_fptree(db: TransactionDb, min_support: int) -> tuple[FPTree, dict[Item
     multiplicity, in ascending order of their rank tuples, which numbers the
     nodes depth-first.
     """
-    if min_support < 1:
-        raise ValidationError(f"min_support must be >= 1, got {min_support}")
-    distinct = Counter(db.transactions)
-    totals = item_frequencies(db, distinct)
-    order = _frequent_order(totals, min_support, db.catalog)
+    distinct, totals, order = _count_and_rank(db, min_support)
     rank = {item: position for position, item in enumerate(order)}
     folded: Counter[tuple[int, ...]] = Counter()
     for transaction, count in distinct.items():
@@ -328,40 +297,70 @@ def build_conditional_tree(
     return _build(catalog, order, list(header.values()), paths), header
 
 
-def _mine(
-    tree: FPTree,
+def _grow(
+    base: RankedTree,
     suffix: Itemset,
     min_support: int,
     out: dict[Itemset, int],
     stats: TreeStats,
 ) -> None:
     # Highest rank first, as the reference route walks the top-level header
-    # from its least frequent item upward.
-    for rank in range(len(tree.chains) - 1, -1, -1):
-        if not tree.chains[rank]:
+    # from its least frequent item upward: by the time a rank is reached,
+    # every mask through it has been folded down into its bucket.
+    buckets = base.buckets
+    for rank in range(len(buckets) - 1, -1, -1):
+        bucket = buckets[rank]
+        if bucket is None:
             continue
-        itemset = (*suffix, tree.order[rank])
-        out[tuple(sorted(itemset))] = tree.totals[rank]
-        subtree = tree.project(rank, min_support)
-        created = subtree.node_count
+        total = sum(bucket.values())
+        if total < min_support:
+            base.fold(rank)
+            continue
+        itemset = (*suffix, base.order[rank])
+        out[tuple(sorted(itemset))] = total
+        sub = base.project(rank)
+        created = sub.node_count
         if created:
             stats.created(created)
-            _mine(subtree, itemset, min_support, out, stats)
+            _grow(sub, itemset, min_support, out, stats)
             stats.freed(created)
+
+
+def build_mask_base(db: TransactionDb, min_support: int) -> RankedTree:
+    """The top-level base: each distinct transaction as one mask of its frequent ranks.
+
+    Ranks follow build_fptree's header order. Transactions whose frequent
+    ranks coincide share one mask with their summed count, and a transaction
+    with no frequent item leaves none.
+    """
+    distinct, _, order = _count_and_rank(db, min_support)
+    bits = {item: 1 << rank for rank, item in enumerate(order)}.get
+    buckets: list[dict[int, int] | None] = [None] * len(order)
+    for transaction, count in distinct.items():
+        mask = 0
+        for item in transaction:
+            mask |= bits(item, 0)
+        if mask:
+            top = mask.bit_length() - 1
+            bucket = buckets[top]
+            if bucket is None:
+                buckets[top] = {mask: count}
+            else:
+                bucket[mask] = bucket.get(mask, 0) + count
+    return RankedTree(order, buckets, sum(len(bucket) for bucket in buckets if bucket))
 
 
 def fpgrowth_mine(
     db: TransactionDb, min_support: int, stats: TreeStats | None = None
 ) -> FrequentItemsets:
-    """Mine all itemsets with support >= min_support by conditional projection."""
+    """Mine all itemsets with support >= min_support from rank-bitmask bases."""
     if stats is None:
         stats = TreeStats()
-    tree, header = build_fptree(db, min_support)
-    created = tree.node_count
+    base = build_mask_base(db, min_support)
+    created = base.node_count
     stats.created(created)
-    tree = RankedTree.from_fptree(tree, header)
     support: dict[Itemset, int] = {}
-    _mine(tree, (), min_support, support, stats)
+    _grow(base, (), min_support, support, stats)
     stats.freed(created)
     return FrequentItemsets(support)
 

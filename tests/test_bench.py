@@ -143,9 +143,10 @@ def test_run_trial_levelwise_on_known_db(db5):
 def test_run_trial_fpgrowth_on_known_db(db5):
     trial = run_trial(db5, 3, FPGROWTH)
     assert trial.n_frequent == 6
-    assert trial.work_counter == 10
-    # peak of nine live nodes (main tree plus largest conditional tree)
-    assert trial.mem_proxy_bytes == 9 * 160
+    assert trial.work_counter == 9
+    # peak of eight live mask entries: the top-level base's four, c's three
+    # and {b, c}'s one
+    assert trial.mem_proxy_bytes == 8 * 160
     assert trial.wall_ns > 0
 
 
@@ -348,7 +349,7 @@ def test_report_non_timing_output_is_pinned(db5):
     assert masked == [
         list(CSV_COLUMNS),
         ["min_support", "3", "apriori", "1", "*", "256", "6", "8"],
-        ["min_support", "3", "fpgrowth", "1", "*", "1440", "6", "10"],
+        ["min_support", "3", "fpgrowth", "1", "*", "1280", "6", "9"],
     ]
     json_rows = json.loads(emit_report(BenchReport({}, rows), "json"))["rows"]
     for record in json_rows:
@@ -364,7 +365,7 @@ def test_report_non_timing_output_is_pinned(db5):
             "n_frequent": 6,
             "work_counter": work,
         }
-        for algorithm, mem, work in ((APRIORI, 256, 8), (FPGROWTH, 1440, 10))
+        for algorithm, mem, work in ((APRIORI, 256, 8), (FPGROWTH, 1280, 9))
     ]
 
 

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
@@ -16,13 +16,13 @@ from freqmine.dataset import (
     TransactionDb,
     item_frequencies,
     parse_transactions,
-    serialize_transactions,
 )
 from freqmine.errors import ValidationError
 from freqmine.fpgrowth import (
     TreeStats,
     build_conditional_tree,
     build_fptree,
+    build_mask_base,
     conditional_pattern_base,
     dump_tree,
     fpgrowth_mine,
@@ -130,9 +130,9 @@ def test_fpgrowth_db5_golden(db5):
         ("a", "c"): 3,
         ("b", "c"): 3,
     }
-    assert stats.nodes_created == 10
+    assert stats.nodes_created == 9
     assert stats.alive_nodes == 0
-    assert stats.peak_alive_nodes >= 6
+    assert stats.peak_alive_nodes == 8
 
 
 def test_fpgrowth_rejects_bad_threshold(db5):
@@ -247,113 +247,150 @@ def test_tree_stats_drain_to_zero(case):
     assert stats.peak_alive_nodes <= stats.nodes_created
 
 
-def _assert_projections_match(tree, ranked, threshold, catalog):
-    for rank, chain in enumerate(ranked.chains):
-        assert chain == [i for i, r in enumerate(ranked.ranks) if r == rank]
-        if not chain:
+def _path_sets(paths, threshold):
+    """Paths as {item set: summed count}, below-threshold items and empty paths removed."""
+    totals = Counter()
+    for path, count in paths:
+        for item in path:
+            totals[item] += count
+    sets = Counter()
+    for path, count in paths:
+        kept = frozenset(item for item in path if totals[item] >= threshold)
+        if kept:
+            sets[kept] += count
+    return sets
+
+
+def _assert_bases_match(base, tree, header, threshold, catalog):
+    """Walk the base as mining does, checking each frequent rank against the tree."""
+    frequent = {}
+    for rank in range(len(base.buckets) - 1, -1, -1):
+        bucket = base.buckets[rank]
+        if bucket is None:
             continue
-        base = conditional_pattern_base(tree, ranked.order[rank])
-        expected, expected_header = build_conditional_tree(base, threshold, catalog)
-        projected = ranked.project(rank, threshold)
-        assert projected.order is ranked.order
-        assert all(parent < node for node, parent in enumerate(projected.parents) if node)
-        assert all(chain == sorted(chain) for chain in projected.chains)
-        assert dump_tree(projected) == dump_tree(expected)
-        assert projected.node_count == expected.node_count
-        totals = {projected.order[r]: t for r, t in enumerate(projected.totals) if t}
-        assert totals == expected_header
-        _assert_projections_match(expected, projected, threshold, catalog)
+        item, total = base.order[rank], sum(bucket.values())
+        if total < threshold:
+            base.fold(rank)
+            continue
+        frequent[item] = total
+        sub = base.project(rank)
+        masks = [(mask, count) for bucket in sub.buckets if bucket for mask, count in bucket.items()]
+        assert sub.node_count == len(masks)
+        assert all(mask.bit_length() <= rank for mask, _ in masks)
+        paths = [
+            ([base.order[r] for r in range(rank) if mask >> r & 1], count) for mask, count in masks
+        ]
+        reference = conditional_pattern_base(tree, item)
+        assert _path_sets(paths, threshold) == _path_sets(reference, threshold)
+        subtree, subheader = build_conditional_tree(reference, threshold, catalog)
+        _assert_bases_match(sub, subtree, subheader, threshold, catalog)
+    assert frequent == header
+
+
+# Seventy items ranked by label, each in four rows: the wide row and three
+# windows of three. Pairs one or two apart and triples of neighbours are
+# frequent at 2, and the windows that wrap round mix the lowest ranks with
+# the highest.
+WIDE_LABELS = [f"w{k:02d}" for k in range(70)]
+WIDE_DB = parse_transactions(
+    ",".join(WIDE_LABELS)
+    + "\n"
+    + "".join(f"{WIDE_LABELS[k]},{WIDE_LABELS[k - 69]},{WIDE_LABELS[k - 68]}\n" for k in range(70))
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(conftest.dbs_with_threshold())
+@example((WIDE_DB, 2))
 def test_projection_matches_reference_route(case):
-    """Every conditional tree, at every depth, equals the path-by-path build."""
+    """Every frequent rank's mask base, at every depth, holds the reference tree's paths."""
     db, threshold = case
-    tree, _ = build_fptree(db, threshold)
-    _assert_projections_match(tree, tree, threshold, db.catalog)
+    tree, header = build_fptree(db, threshold)
+    base = build_mask_base(db, threshold)
+    assert base.order == tree.order
+    _assert_bases_match(base, tree, header, threshold, db.catalog)
 
 
 @settings(max_examples=100, deadline=None)
 @given(conftest.small_dbs())
 def test_projection_at_threshold_one_matches_reference_route(db):
-    """At threshold 1 no rank is ever dropped, so every projection is merge-free."""
-    tree, _ = build_fptree(db, 1)
-    _assert_projections_match(tree, tree, 1, db.catalog)
+    """At threshold 1 every rank holding a mask is frequent, so no rank is ever folded."""
+    tree, header = build_fptree(db, 1)
+    _assert_bases_match(build_mask_base(db, 1), tree, header, 1, db.catalog)
 
 
 def test_projection_drops_a_rank_without_merging():
     # Above z: a-b twice, a-c-d once and d once. c's conditional total is 1,
-    # so it is dropped and d is relinked under a, where no d node is yet.
+    # so it is folded, and a-c-d becomes a-d, where no a-d mask is yet.
     db = parse_transactions("a,b,z\na,b,z\na,c,d,z\nd,z\na,b,c,d\na,b,c,d\nc\n")
-    tree, _ = build_fptree(db, 2)
-    assert [db.catalog.label(item) for item in tree.order] == ["a", "b", "c", "d", "z"]
-    projected = tree.project(tree.order.index(db.catalog.lookup("z")), 2)
-    assert dump_tree(projected) == "a:3\n  b:2\n  d:1\nd:1\n"
-    assert projected.parents == [0, 0, 1, 1, 0]
-    assert projected.totals == [3, 2, 0, 2]
+    base = build_mask_base(db, 2)
+    assert [db.catalog.label(item) for item in base.order] == ["a", "b", "c", "d", "z"]
+    projected = base.project(4)
+    assert projected.buckets == [None, {0b0011: 2}, None, {0b1101: 1, 0b1000: 1}]
+    assert projected.node_count == 3
+    assert projected.project(3).buckets == [None, None, {0b0101: 1}]
+    assert projected.buckets[:3] == [None, {0b0011: 2}, {0b0101: 1}]
+    projected.fold(2)
+    assert projected.buckets == [{0b0001: 1}, {0b0011: 2}, None, None]
 
 
 def test_tree_counters_are_pinned():
     stats = TreeStats()
     db = generate_synthetic(SynthParams(2000, 20, 6.0, 0.5, 1))
     assert len(fpgrowth_mine(db, 40, stats).support) == 1616
-    assert stats.nodes_created == 22706
-    assert stats.peak_alive_nodes == 6093
+    assert stats.nodes_created == 23387
+    assert stats.peak_alive_nodes == 2501
 
 
 def test_projection_merges_paths_joined_by_a_dropped_item():
     # b is frequent overall but not alongside x, so x's prefix paths a-b-c
-    # and a-c meet once b is dropped.
+    # and a-c meet, as a, once c is projected and b is folded.
     db = parse_transactions("a,b,c,x\na,c,x\na,b\nb\n")
-    tree, _ = build_fptree(db, 2)
-    projected = tree.project(tree.order.index(db.catalog.lookup("x")), 2)
-    assert dump_tree(projected) == "a:2\n  c:2\n"
+    base = build_mask_base(db, 2)
+    projected = base.project(base.order.index(db.catalog.lookup("x")))
+    assert projected.buckets == [None, None, {0b111: 1, 0b101: 1}]
     assert projected.node_count == 2
+    projected.project(2)
+    assert projected.buckets == [{0b001: 1}, {0b011: 1}, None]
+    projected.fold(1)
+    assert projected.buckets == [{0b001: 2}, None, None]
 
 
-@st.composite
-def dbs_reaching_every_projection_route(draw):
-    """A random database plus rows on items of their own, with a threshold.
-
-    No random row holds an added item, so the added rows make paths of their
-    own. At threshold m >= 2 the added items rank ga, gc, gz, gb: ga and gc
-    project to empty trees, gb is copied straight, and gz drops gc (total 1)
-    and takes the merge route.
-    """
-    threshold = draw(st.integers(min_value=2, max_value=5))
-    random_rows = conftest.written(serialize_transactions, draw(conftest.small_dbs()))
-    added = ["ga,gb,gz"] * threshold + ["ga,gc,gz"] + ["gc"] * threshold
-    return parse_transactions(random_rows + "\n".join(added) + "\n"), threshold
+def _fresh_buckets(rows, width):
+    """The rows' masks cut below width, summed and bucketed from scratch."""
+    buckets = [None] * width
+    for mask, count in rows:
+        if mask := mask & ((1 << width) - 1):
+            bucket = buckets[mask.bit_length() - 1]
+            if bucket is None:
+                buckets[mask.bit_length() - 1] = {mask: count}
+            else:
+                bucket[mask] = bucket.get(mask, 0) + count
+    return buckets
 
 
-def _projection_route(tree, rank, threshold):
-    """Which of project's three returns the rank's projection takes."""
-    totals = Counter()
-    for path, count in conditional_pattern_base(tree, tree.order[rank]):
-        for item in path:
-            totals[item] += count
-    if all(total < threshold for total in totals.values()):
-        return "empty"
-    if all(total >= threshold for total in totals.values()):
-        return "straight"
-    return "merge"
+def _assert_steps_match_fresh_bases(base, rows, threshold):
+    assert base.buckets == _fresh_buckets(rows, len(base.buckets))
+    assert base.node_count == sum(len(bucket) for bucket in base.buckets if bucket)
+    for rank in range(len(base.buckets) - 1, -1, -1):
+        bucket = base.buckets[rank]
+        if bucket is None:
+            continue
+        if sum(bucket.values()) < threshold:
+            base.fold(rank)
+        else:
+            through = [(mask, count) for mask, count in rows if mask >> rank & 1]
+            _assert_steps_match_fresh_bases(base.project(rank), through, threshold)
+        assert base.buckets[:rank] == _fresh_buckets(rows, rank)
+        assert base.buckets[rank:] == [None] * (len(base.buckets) - rank)
 
 
 @settings(max_examples=60, deadline=None)
-@given(dbs_reaching_every_projection_route())
+@given(conftest.dbs_with_threshold())
 def test_repeated_projections_of_one_tree_match_a_fresh_tree(case):
-    """project resets the tree's reused walk array on every return path."""
+    """After every fold and project, each base equals one built afresh from the rows."""
     db, threshold = case
-    tree, _ = build_fptree(db, threshold)
-    routes = Counter()
-    ascending = range(len(tree.order))
-    for ranks in (ascending, reversed(ascending)):
-        for rank in ranks:
-            projected = tree.project(rank, threshold)
-            expected = build_fptree(db, threshold)[0].project(rank, threshold)
-            assert dump_tree(projected) == dump_tree(expected)
-            assert projected.totals == expected.totals
-            assert projected.node_count == expected.node_count
-            routes[_projection_route(tree, rank, threshold)] += 1
-    assert set(routes) == {"empty", "straight", "merge"}
+    base = build_mask_base(db, threshold)
+    bits = {item: 1 << rank for rank, item in enumerate(base.order)}
+    rows = [(sum(bits.get(item, 0) for item in row), 1) for row in db.transactions]
+    _assert_steps_match_fresh_bases(base, rows, threshold)

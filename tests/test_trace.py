@@ -53,8 +53,6 @@ COMMANDS = {
             "dataset.parse_transactions",
             "dataset.item_frequencies",
             "fpgrowth.mine",
-            "fpgrowth.build",
-            "fpgrowth.rank_copy",
             "fpgrowth.project",
             "apriori.write_frequent",
         },
@@ -105,7 +103,7 @@ def test_trace_tree_counters_match_the_miner(tmp_path):
 
 
 def test_trace_counts_one_projection_per_itemset(tmp_path):
-    # _mine calls FPTree.project once per frequent itemset, so a projection
+    # _grow calls RankedTree.project once per frequent itemset, so a projection
     # made some other way fails here instead of making the metric read low.
     trace = _trace(tmp_path, COMMANDS["mine_fpgrowth"][0])
     mined = fpgrowth_mine(parse_transactions(DB5_TEXT), 3)
