@@ -1,11 +1,13 @@
 """Levelwise frequent-itemset mining.
 
 Candidates of size k+1 are joined from frequent k-itemsets sharing a prefix,
-pruned by downward closure, then counted against the database. Pairs and
-triples need no prune: the join already guarantees the subsets that prune
-would look up (see apriori_mine). From size 3 on, when some pair of frequent
-items is infrequent, the join makes only candidates whose last two items are
-a frequent pair (a 2-itemset filter in the spirit of DHP, Park, Chen & Yu,
+pruned by downward closure, then counted against the database. The join
+makes prefix + (a, b) from prefix + (a,) and prefix + (b,), so prune probes
+only the subsets that drop a prefix item: a pair has none, and for a triple
+it is the one pair that the partners filter already guarantees (see
+apriori_mine). From size 3 on, when some pair of frequent items is
+infrequent, the join makes only candidates whose last two items are a
+frequent pair (a 2-itemset filter in the spirit of DHP, Park, Chen & Yu,
 SIGMOD 1995); prune would drop every other one.
 
 Support is counted by one of two routes. The general one is vertical (Zaki,
@@ -166,12 +168,21 @@ def frequent_partners(pairs: Iterable[Itemset]) -> dict[ItemId, set[ItemId]]:
 
 
 def prune_candidates(candidates: CandidateSet, level: Iterable[Itemset]) -> CandidateSet:
-    """Keep only candidates whose every one-smaller subset is in the level set."""
-    level_set = set(level)
+    """Keep only candidates whose every one-smaller subset is in the level.
+
+    candidates must come from join_candidates(level). A candidate
+    prefix + (a, b) was joined from prefix + (a,) and prefix + (b,), so only
+    the len(candidate) - 2 subsets that drop a prefix item are probed, up to
+    the first one missing. level is probed as it is when it is a dict or a
+    set; apriori_mine passes its level dict.
+    """
+    members = level if isinstance(level, (dict, set, frozenset)) else set(level)
     kept: CandidateSet = set()
     for candidate in candidates:
-        subsets = combinations(candidate, len(candidate) - 1)
-        if all(subset in level_set for subset in subsets):
+        for i in range(len(candidate) - 2):
+            if candidate[:i] + candidate[i + 1 :] not in members:
+                break
+        else:
             kept.add(candidate)
     return kept
 
@@ -231,24 +242,24 @@ def count_support(
     tidsets, when given, must be _tidsets(db); apriori_mine passes them so
     that they are built once per mine, not once per level.
     """
-    ordered = sorted(candidates)
+    candidates = list(candidates)
     catalog_size = len(db.catalog)
-    for candidate in ordered:
-        for item in candidate:
-            if not 0 <= item < catalog_size:
-                raise ContractViolationError(
-                    f"item handle {item} outside catalog of size {catalog_size}"
-                )
+    handles = set(chain.from_iterable(candidates))
+    for item in (min(handles), max(handles)) if handles else ():
+        if not 0 <= item < catalog_size:
+            raise ContractViolationError(
+                f"item handle {item} outside catalog of size {catalog_size}"
+            )
     items, planes = _tidsets(db) if tidsets is None else tidsets
     repeated = 0
     for plane in planes:
         repeated |= plane
     counts: dict[Itemset, int] = {}
-    # The empty itemset sorts first, and every transaction holds it.
-    if ordered and not ordered[0]:
-        counts[()] = db.n
-        del ordered[0]
-    for candidate in ordered:
+    for candidate in candidates:
+        # Every transaction holds the empty itemset.
+        if not candidate:
+            counts[()] = db.n
+            continue
         bits = items[candidate[0]]
         for item in candidate[1:]:
             bits &= items[item]
@@ -316,11 +327,12 @@ def apriori_mine(
     the pairs are joined and counted by count_support like every later
     level. Either way it records C(F, 2) candidates for F >= 2 frequent items.
 
-    Pairs and triples skip the prune. A pair's items are frequent. A triple
-    (x, a, b) is joined from the frequent pairs (x, a) and (x, b), and
-    {a, b} is frequent too: when some pair of frequent items is infrequent,
-    the frequent pairs become the join's partners filter from size 3 on,
-    and when every pair is frequent no filter is needed, so none is built.
+    Prune probes only the subsets that drop a prefix item, so only
+    candidates of size 4 and up are pruned. A pair has no such subset. For
+    a triple (x, a, b) it is {a, b}, and that is frequent: when some pair of
+    frequent items is infrequent, the frequent pairs become the join's
+    partners filter from size 3 on, and when every pair is frequent no
+    filter is needed, so none is built.
     """
     if min_support < 1:
         raise ValidationError(f"min_support must be >= 1, got {min_support}")

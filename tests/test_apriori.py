@@ -29,8 +29,10 @@ from freqmine.apriori import (
     threshold_singletons,
     write_frequent_csv,
 )
+from freqmine.bench import SynthParams, generate_synthetic
 from freqmine.dataset import item_frequencies, parse_transactions
 from freqmine.errors import ContractViolationError, CsvParseError, ValidationError
+from freqmine.fpgrowth import fpgrowth_mine
 from freqmine.oracle import brute_force_frequent
 
 DB5_FREQUENT_AT_3 = {
@@ -125,6 +127,35 @@ def test_filtered_join_prunes_to_the_unfiltered_result(case):
     assert prune_candidates(filtered, level) == prune_candidates(join_candidates(level), level)
 
 
+def _closed_candidates(candidates, level):
+    """The candidates whose every one-smaller subset is in level, each probed."""
+    return {
+        candidate
+        for candidate in candidates
+        if all(subset in level for subset in combinations(candidate, len(candidate) - 1))
+    }
+
+
+@st.composite
+def uniform_levels(draw):
+    """Any set of sorted k-itemsets over a few items, closed downward or not."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    itemsets = st.lists(st.integers(0, 8), min_size=k, max_size=k, unique=True)
+    return draw(st.sets(itemsets.map(lambda items: tuple(sorted(items))), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(downward_closed_levels().map(lambda case: case[0]), uniform_levels()))
+def test_prune_of_the_join_probes_as_if_it_probed_every_subset(level):
+    # The join guarantees the two subsets that drop one of a candidate's last
+    # two items whether or not the level is closed downward, so prune skips
+    # them. The level is probed as given when it is a set, copied otherwise.
+    joined = join_candidates(level)
+    kept = prune_candidates(joined, level)
+    assert kept == _closed_candidates(joined, level)
+    assert prune_candidates(joined, sorted(level)) == kept
+
+
 @st.composite
 def wide_sparse_dbs(draw):
     """Many items, short rows and a low threshold, so that some pair of
@@ -143,12 +174,13 @@ def wide_sparse_dbs(draw):
 
 
 def _unfiltered_level_candidates(db, threshold):
-    """level_candidates of the levelwise route that joins every pair."""
+    """level_candidates of the levelwise route that joins every pair and
+    probes every one-smaller subset of every candidate."""
     counts = item_frequencies(db)
     sizes = [(1, len(counts))]
     level = threshold_singletons(counts, threshold)
     while level:
-        candidates = prune_candidates(join_candidates(level), level)
+        candidates = _closed_candidates(join_candidates(level), level)
         if not candidates:
             break
         sizes.append((len(next(iter(candidates))), len(candidates)))
@@ -257,6 +289,39 @@ def test_apriori_counts_the_wide_fixture_pairs_in_one_array(monkeypatch):
     assert stats.level_candidates[:2] == [(1, 80), (2, 3160)]
 
 
+def test_apriori_agrees_with_fpgrowth_deep_into_prune():
+    # 500 baskets over 16 items, 8 long on average: at support 30 itemsets
+    # reach size 8, and prune runs on candidates of sizes 4 to 9. The wide
+    # fixture stops at size 5, and check's random cases hold at most 10 items.
+    db = generate_synthetic(SynthParams(500, 16, 8.0, 0.5, 0))
+    stats = AprioriStats()
+    mined = apriori_mine(db, 30, stats)
+    assert mined.support == fpgrowth_mine(db, 30).support
+    assert max(map(len, mined.support)) == 8
+    assert stats.level_candidates == [
+        (1, 16), (2, 120), (3, 560), (4, 1820), (5, 3019), (6, 1665), (7, 258), (8, 6)
+    ]
+    assert stats.level_candidates == _unfiltered_level_candidates(db, 30)
+
+
+DEEP_BASKETS = conftest.DATA_DIR / "deep_baskets.csv"
+
+
+def test_both_miners_write_the_deep_fixture_alike():
+    # 100 baskets over 12 items, the labels of each row in shuffled order: at
+    # support 14 itemsets reach size 7, and prune runs on candidates of sizes
+    # 4 to 8. Apriori's levels follow the join's order, which the writer must
+    # not show.
+    db = parse_transactions(DEEP_BASKETS.read_text(encoding="utf-8"))
+    stats = AprioriStats()
+    levelwise = apriori_mine(db, 14, stats)
+    assert stats.level_candidates == [
+        (1, 12), (2, 66), (3, 220), (4, 465), (5, 382), (6, 88), (7, 4)
+    ]
+    written = conftest.written(write_frequent_csv, levelwise, db.catalog)
+    assert written == conftest.written(write_frequent_csv, fpgrowth_mine(db, 14), db.catalog)
+
+
 def test_db5_at_support_1_counts_its_pairs_in_one_array(monkeypatch, db5):
     # All 4 items are frequent: 6 pairs, and the pass makes 3 + 1 + 1 + 1 + 6
     # = 12 increments, under the budget of 4 per pair. No level is too small
@@ -301,6 +366,19 @@ def test_count_support_reports_zeros():
 def test_count_support_rejects_foreign_handles(db5):
     with pytest.raises(ContractViolationError):
         count_support(db5, {(0, 99)})
+    # Indexing the tidsets with -1 would read the last item's.
+    with pytest.raises(ContractViolationError, match="item handle -1"):
+        count_support(db5, {(-1, 0)})
+
+
+def test_count_support_counts_the_empty_itemset_anywhere_in_the_input(db5):
+    tallies = count_support(db5, [(0,), (0, 1), ()])
+    assert tallies == {(0,): 4, (0, 1): 3, (): 5}
+
+
+def test_count_support_takes_a_generator(db5):
+    pairs = combinations(range(4), 2)
+    assert count_support(db5, pairs) == count_support(db5, set(combinations(range(4), 2)))
 
 
 def _oracle_counts(db, candidates):
