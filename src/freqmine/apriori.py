@@ -317,9 +317,9 @@ def apriori_mine(
 ) -> FrequentItemsets:
     """Mine all itemsets with support >= min_support, levelwise.
 
-    Level 1 thresholds the item frequencies; each later level joins, prunes,
-    counts, and thresholds until no candidates survive. The result maps every
-    frequent itemset to its exact support count.
+    Level 1 thresholds the item frequencies; from two frequent items on, each
+    later level joins, prunes, counts, and thresholds until no candidates
+    survive. The result maps every frequent itemset to its exact support count.
 
     Level 2 is counted by one of two routes. frequent_pairs counts every pair
     of frequent items in one pass over the distinct transactions, unless that
@@ -341,29 +341,22 @@ def apriori_mine(
     folded = Counter(db.transactions)
     counts = item_frequencies(db, folded)
     stats.level_candidates.append((1, len(counts)))
-    singletons = threshold_singletons(counts, min_support)
-    support = dict(singletons)
-    level: dict[Itemset, int] | None = {}
-    partners: dict[ItemId, set[ItemId]] | None = None
-    tidsets: tuple[list[int], list[int]] | None = None
-    n_pairs = len(singletons) * (len(singletons) - 1) // 2
-    if n_pairs:
-        stats.level_candidates.append((2, n_pairs))
-        items = [item for (item,) in singletons]
-        level = frequent_pairs(folded, items, min_support, _PAIR_ARRAY_BUDGET * n_pairs)
-        # Every later count uses the tidsets; a join needs two itemsets.
-        if level is None:
-            tidsets = _tidsets(db, folded)
-            tallies = count_support(db, join_candidates(singletons), tidsets)
-            level = {itemset: count for itemset, count in tallies.items() if count >= min_support}
-        elif len(level) > 1:
-            tidsets = _tidsets(db, folded)
-        support.update(level)
-        if len(level) < n_pairs:
-            partners = frequent_partners(level)
+    support = threshold_singletons(counts, min_support)
+    n_pairs = len(support) * (len(support) - 1) // 2
+    if not n_pairs:
+        return FrequentItemsets(support)
+    stats.level_candidates.append((2, n_pairs))
+    items = [item for (item,) in support]
+    level = frequent_pairs(folded, items, min_support, _PAIR_ARRAY_BUDGET * n_pairs)
+    tidsets = _tidsets(db, folded)
     del folded  # before the levels run
+    if level is None:
+        tallies = count_support(db, join_candidates(support), tidsets)
+        level = {itemset: count for itemset, count in tallies.items() if count >= min_support}
+    partners = frequent_partners(level) if len(level) < n_pairs else None
     size = 2
     while level:
+        support.update(level)
         candidates = join_candidates(level, partners)
         if size > 2:
             candidates = prune_candidates(candidates, level)
@@ -373,7 +366,6 @@ def apriori_mine(
         stats.level_candidates.append((size, len(candidates)))
         tallies = count_support(db, candidates, tidsets)
         level = {itemset: count for itemset, count in tallies.items() if count >= min_support}
-        support.update(level)
     return FrequentItemsets(support)
 
 

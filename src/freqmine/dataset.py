@@ -27,6 +27,8 @@ ItemId = int
 Itemset = tuple[ItemId, ...]
 
 _WS_RUN = re.compile(r"\s+")
+# What an age cell holds once stripped: int() also takes "1_8" and non-ASCII digits.
+_AGE_TEXT = re.compile(r"[+-]?[0-9]+")
 
 AGE_BUCKETS = ("Under 18", "18-24", "25-34", "Above 35")
 DEFAULT_MISSING_AGE_LABEL = "Don't remember"
@@ -35,6 +37,9 @@ DEFAULT_MISSING_AGE_LABEL = "Don't remember"
 def normalize_label(raw: str) -> str:
     """Identity key for a label: trimmed, inner whitespace collapsed, case folded."""
     return _WS_RUN.sub(" ", raw.strip()).casefold()
+
+
+_AGE_BUCKET_KEYS = frozenset(map(normalize_label, AGE_BUCKETS))
 
 
 AliasMap = dict[str, str]
@@ -410,7 +415,10 @@ class SurveySchema:
 
     multiselect_delimiter separates the impact answers inside one cell; it
     must be a single character other than the comma so it cannot collide
-    with the CSV field separator.
+    with the CSV field separator. The age and impact columns must differ, and
+    missing_age_label must not be blank or name an age bucket once
+    normalized, or a missing age would drop out of its row or merge with a
+    given one.
     """
 
     age_column: str = "age"
@@ -423,6 +431,15 @@ class SurveySchema:
             raise ValidationError(
                 "multiselect delimiter must be a single character other than ','"
             )
+        if self.age_column == self.impact_column:
+            raise ValidationError(f"age and impact columns are both {self.age_column!r}")
+        missing = normalize_label(self.missing_age_label)
+        if not missing:
+            raise ValidationError("missing-age label is blank")
+        if missing in _AGE_BUCKET_KEYS:
+            raise ValidationError(
+                f"missing-age label {self.missing_age_label!r} names an age bucket"
+            )
 
 
 def _parse_age(cell: str, missing_key: str) -> int | None:
@@ -432,10 +449,9 @@ def _parse_age(cell: str, missing_key: str) -> int | None:
         return None
     if normalize_label(text) == missing_key:
         return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError(f"survey age is not an integer: {cell!r}") from None
+    if not _AGE_TEXT.fullmatch(text):
+        raise ValidationError(f"survey age is not an integer: {cell!r}")
+    return int(text)
 
 
 def parse_survey(
@@ -450,8 +466,8 @@ def parse_survey(
     The first other row must be a header naming each schema column once; a
     column it lacks or names twice raises SchemaError, while other columns
     may share a name. Missing or marker-valued ages recode to the
-    missing-age bucket; a non-integer age raises ValidationError, as does a
-    negative one.
+    missing-age bucket; an age that is not an optional sign and ASCII digits
+    raises ValidationError, as does a negative one.
     """
     rows = iter(CsvRows(content))
     header = next((row for row in rows if any(map(str.strip, row))), None)

@@ -41,24 +41,21 @@ TREE_NODE_BYTES = 160
 class FPTree:
     """A prefix tree held as parallel lists, in header-rank space.
 
-    order[r] is the item of rank r. Node 0 is the root. Every node's parent
-    has a smaller index; the top-level tree numbers its nodes depth-first.
-    chains[r] lists the nodes of rank r in ascending index order and
-    totals[r] is their summed count. The top-level tree's paths ascend in
-    rank. build_conditional_tree ranks by its own header and keeps each
-    path's order.
+    order[r] is the item of rank r. Node 0 is the root, and every node's
+    parent has a smaller index. chains[r] lists the nodes of rank r in the
+    order they were created. The top-level tree's paths ascend in rank.
+    build_conditional_tree ranks by its own header and keeps each path's order.
     """
 
-    __slots__ = ("catalog", "order", "parents", "ranks", "counts", "chains", "totals")
+    __slots__ = ("catalog", "order", "parents", "ranks", "counts", "chains")
 
-    def __init__(self, catalog: ItemCatalog, order: list[ItemId], totals: list[int]) -> None:
+    def __init__(self, catalog: ItemCatalog, order: list[ItemId]) -> None:
         self.catalog = catalog
         self.order = order
         self.parents = [0]
         self.ranks = [ROOT_ITEM]
         self.counts = [0]
-        self.chains: list[list[int]] = [[] for _ in totals]
-        self.totals = totals
+        self.chains: list[list[int]] = [[] for _ in order]
 
     @property
     def node_count(self) -> int:
@@ -143,15 +140,14 @@ class RankedTree:
 class TreeStats:
     """Mask-entry counters across a mining run, every conditional base included.
 
-    nodes_created counts the mask entries of every base built, and
-    peak_alive_nodes the most entries that the bases still being mined were
-    built with at once.
-    work_counter and mem_proxy_bytes are the figures the benchmark harness
-    reports for every miner.
+    nodes_created counts the mask entries of every base built. peak_alive_nodes
+    is the most entries held at once by the bases still being mined: the
+    largest sum of node_count along one recursion path, which created is
+    handed as alive. work_counter and mem_proxy_bytes are the figures the
+    benchmark harness reports for every miner.
     """
 
     nodes_created: int = 0
-    alive_nodes: int = 0
     peak_alive_nodes: int = 0
 
     @property
@@ -163,14 +159,10 @@ class TreeStats:
         """Peak count of live mask entries under the fixed byte model."""
         return self.peak_alive_nodes * TREE_NODE_BYTES
 
-    def created(self, count: int = 1) -> None:
+    def created(self, count: int, alive: int) -> None:
         self.nodes_created += count
-        self.alive_nodes += count
-        if self.alive_nodes > self.peak_alive_nodes:
-            self.peak_alive_nodes = self.alive_nodes
-
-    def freed(self, count: int) -> None:
-        self.alive_nodes -= count
+        if alive > self.peak_alive_nodes:
+            self.peak_alive_nodes = alive
 
 
 def _frequent_order(
@@ -187,13 +179,10 @@ def _frequent_order(
 
 
 def _build(
-    catalog: ItemCatalog,
-    order: list[ItemId],
-    totals: list[int],
-    paths: Iterable[tuple[Sequence[int], int]],
+    catalog: ItemCatalog, order: list[ItemId], paths: Iterable[tuple[Sequence[int], int]]
 ) -> FPTree:
     """Insert each (rank path, count) pair in turn, merging shared prefixes."""
-    tree = FPTree(catalog, order, totals)
+    tree = FPTree(catalog, order)
     parents, ranks, counts, chains = tree.parents, tree.ranks, tree.counts, tree.chains
     width = len(order)
     # Ranks are below width, so the key names one (parent, rank) pair.
@@ -236,20 +225,17 @@ def build_fptree(db: TransactionDb, min_support: int) -> tuple[FPTree, dict[Item
     The header maps exactly the items with support >= min_support to their
     totals, in header order, which is the tree's rank order; every frequent
     item appears in at least one transaction, so every rank has a chain.
-    Equal transactions are counted first and each is ranked once; transactions
-    whose frequent ranks coincide are then inserted once with their summed
-    multiplicity, in ascending order of their rank tuples, which numbers the
-    nodes depth-first.
+    Each distinct transaction is inserted once, as its ranked path with its
+    multiplicity, in first-seen order.
     """
     distinct, totals, order = _count_and_rank(db, min_support)
     rank = {item: position for position, item in enumerate(order)}
-    folded: Counter[tuple[int, ...]] = Counter()
-    for transaction, count in distinct.items():
-        folded[tuple(sorted([rank[item] for item in transaction if item in rank]))] += count
-    # Freed before the tree is built, which is where the peak falls.
-    del distinct, folded[()]
+    paths = (
+        (sorted([rank[item] for item in transaction if item in rank]), count)
+        for transaction, count in distinct.items()
+    )
     header = {item: totals[item] for item in order}
-    return _build(db.catalog, order, list(header.values()), sorted(folded.items())), header
+    return _build(db.catalog, order, paths), header
 
 
 def conditional_pattern_base(tree: FPTree, item: ItemId) -> list[tuple[tuple[ItemId, ...], int]]:
@@ -294,7 +280,7 @@ def build_conditional_tree(
     rank = {item: position for position, item in enumerate(order)}
     paths = [([rank[item] for item in path if item in rank], count) for path, count in base]
     header = {item: totals[item] for item in order}
-    return _build(catalog, order, list(header.values()), paths), header
+    return _build(catalog, order, paths), header
 
 
 def _grow(
@@ -303,7 +289,10 @@ def _grow(
     min_support: int,
     out: dict[Itemset, int],
     stats: TreeStats,
+    alive: int,
 ) -> None:
+    # alive sums the entries of base and of every base it was projected from.
+    stats.created(base.node_count, alive)
     # Highest rank first, as the reference route walks the top-level header
     # from its least frequent item upward: by the time a rank is reached,
     # every mask through it has been folded down into its bucket.
@@ -319,11 +308,8 @@ def _grow(
         itemset = (*suffix, base.order[rank])
         out[tuple(sorted(itemset))] = total
         sub = base.project(rank)
-        created = sub.node_count
-        if created:
-            stats.created(created)
-            _grow(sub, itemset, min_support, out, stats)
-            stats.freed(created)
+        if sub.node_count:
+            _grow(sub, itemset, min_support, out, stats, alive + sub.node_count)
 
 
 def build_mask_base(db: TransactionDb, min_support: int) -> RankedTree:
@@ -357,11 +343,8 @@ def fpgrowth_mine(
     if stats is None:
         stats = TreeStats()
     base = build_mask_base(db, min_support)
-    created = base.node_count
-    stats.created(created)
     support: dict[Itemset, int] = {}
-    _grow(base, (), min_support, support, stats)
-    stats.freed(created)
+    _grow(base, (), min_support, support, stats, base.node_count)
     return FrequentItemsets(support)
 
 

@@ -518,6 +518,39 @@ def test_recode_rejects_negative_age(tmp_path, capsys):
     assert run_cli(["recode", str(path)]) == 1
 
 
+def _refused_recode(tmp_path, capsys, text, *options):
+    """recode's stderr for text and options, checking it exits 1 and writes no file."""
+    path = tmp_path / "survey.csv"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "recoded.csv"
+    assert run_cli(["recode", str(path), *options, "--output", str(out)]) == 1
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_recode_rejects_a_blank_missing_age_label(tmp_path, capsys):
+    err = _refused_recode(tmp_path, capsys, "age,impacts\n,Anxiety\n", "--missing-age-label", "")
+    assert err == "error: missing-age label is blank\n"
+
+
+def test_recode_rejects_a_missing_age_label_naming_a_bucket(tmp_path, capsys):
+    text = "age,impacts\n,Anxiety\n20,Anxiety\n"
+    err = _refused_recode(tmp_path, capsys, text, "--missing-age-label", "18-24")
+    assert err == "error: missing-age label '18-24' names an age bucket\n"
+
+
+def test_recode_rejects_one_column_for_age_and_impacts(tmp_path, capsys):
+    text = "age,impacts\n20,Anxiety\n"
+    err = _refused_recode(tmp_path, capsys, text, "--age-column", "impacts")
+    assert err == "error: age and impact columns are both 'impacts'\n"
+
+
+@pytest.mark.parametrize("cell", ["1_8", "\u0661\u0668"])
+def test_recode_rejects_an_age_int_would_misread(cell, tmp_path, capsys):
+    err = _refused_recode(tmp_path, capsys, f"age,impacts\n20,Anxiety\n{cell},Anxiety\n")
+    assert err == f"error: survey age is not an integer: {cell!r}\n"
+
+
 def test_check_reports_agreement(capsys):
     assert run_cli(["check", "--cases", "5", "--seed", "1"]) == 0
     assert capsys.readouterr().out == "ok: 5 cases agree across all miners\n"

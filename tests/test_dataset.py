@@ -249,6 +249,13 @@ def test_parse_survey_negative_age():
         parse_survey("age,impacts\n-4,Anxiety\n", SurveySchema())
 
 
+@pytest.mark.parametrize("cell", ["1_8", "\u0661\u0668"])
+def test_parse_survey_rejects_an_age_int_would_misread(cell):
+    # int() reads both as 18: one with a digit separator, one in Arabic-Indic digits.
+    with pytest.raises(ValidationError, match="not an integer"):
+        parse_survey(f"age,impacts\n{cell},Anxiety\n", SurveySchema())
+
+
 def test_parse_survey_missing_age_variants():
     text = "age,impacts\n,Anxiety\nDon't remember,Anxiety\n  ,Anxiety\n"
     db = parse_survey(text, SurveySchema())
@@ -289,6 +296,25 @@ def test_parse_survey_custom_schema_columns_and_delimiter():
     db = parse_survey(text, schema)
     labels = sorted(db.catalog.labels_of(db.transactions[0]))
     assert labels == ["Anxiety", "Intense fear", "Under 18"]
+
+
+@pytest.mark.parametrize("label", ["", "  ", "\t\n"])
+def test_survey_schema_rejects_a_blank_missing_age_label(label):
+    with pytest.raises(ValidationError, match="missing-age label is blank"):
+        SurveySchema(missing_age_label=label)
+
+
+@pytest.mark.parametrize("label", ["18-24", " under  18 ", "ABOVE 35"])
+def test_survey_schema_rejects_a_missing_age_label_naming_a_bucket(label):
+    with pytest.raises(ValidationError, match="names an age bucket"):
+        SurveySchema(missing_age_label=label)
+
+
+def test_survey_schema_rejects_one_column_for_age_and_impacts():
+    with pytest.raises(ValidationError, match="age and impact columns are both 'impacts'"):
+        SurveySchema(age_column="impacts")
+    with pytest.raises(ValidationError, match="'x'"):
+        SurveySchema(age_column="x", impact_column="x")
 
 
 def test_survey_schema_rejects_bad_delimiter():

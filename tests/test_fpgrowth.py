@@ -70,11 +70,10 @@ def test_header_order_descending_support():
 def test_chain_counts_sum_to_header_total(db5):
     tree, header = build_fptree(db5, 1)
     assert tree.order == list(header)
-    assert tree.totals == list(header.values())
     for rank, chain in enumerate(tree.chains):
         assert chain == sorted(chain)
         assert all(tree.ranks[node] == rank for node in chain)
-        assert sum(tree.counts[node] for node in chain) == tree.totals[rank]
+        assert sum(tree.counts[node] for node in chain) == header[tree.order[rank]]
 
 
 def test_conditional_pattern_base_db5_golden(db5):
@@ -131,7 +130,6 @@ def test_fpgrowth_db5_golden(db5):
         ("b", "c"): 3,
     }
     assert stats.nodes_created == 9
-    assert stats.alive_nodes == 0
     assert stats.peak_alive_nodes == 8
 
 
@@ -220,31 +218,60 @@ def test_build_fptree_folds_equal_transactions_by_value(db, threshold):
         expected.ranks,
         expected.counts,
     )
-    assert tree.totals == expected.totals
     assert list(header.items()) == list(expected_header.items())
 
 
 @settings(max_examples=60, deadline=None)
-@given(conftest.dbs_with_threshold())
-def test_top_level_nodes_are_numbered_depth_first(case):
-    """Each node hangs under the node just before it or one of its ancestors."""
+@given(conftest.dbs_with_threshold(), st.data())
+def test_reference_tree_does_not_depend_on_insertion_order(case, data):
+    """Reversed or shuffled transactions build the same tree, header and pattern bases."""
     db, threshold = case
-    parents = build_fptree(db, threshold)[0].parents
-    for node in range(2, len(parents)):
-        above = node - 1
-        while above and above != parents[node]:
-            above = parents[above]
-        assert above == parents[node]
+    tree, header = build_fptree(db, threshold)
+    for rows in (db.transactions[::-1], data.draw(st.permutations(db.transactions))):
+        other, other_header = build_fptree(TransactionDb(db.catalog, tuple(rows)), threshold)
+        assert dump_tree(other) == dump_tree(tree)
+        assert other.node_count == tree.node_count
+        assert list(other_header.items()) == list(header.items())
+        for item in header:
+            assert Counter(conditional_pattern_base(other, item)) == Counter(
+                conditional_pattern_base(tree, item)
+            )
+
+
+def _reference_tree_stats(base, threshold):
+    """Entries created, and the most live along one recursion path, in mining base.
+
+    The walk folds and projects as fpgrowth_mine does, and sums each base's
+    node_count along the path that reaches it.
+    """
+
+    def walk(base, alive):
+        created, peak = base.node_count, alive
+        for rank in range(len(base.buckets) - 1, -1, -1):
+            bucket = base.buckets[rank]
+            if bucket is None:
+                continue
+            if sum(bucket.values()) < threshold:
+                base.fold(rank)
+                continue
+            sub = base.project(rank)
+            if sub.node_count:
+                below_created, below_peak = walk(sub, alive + sub.node_count)
+                created += below_created
+                peak = max(peak, below_peak)
+        return created, peak
+
+    return walk(base, base.node_count)
 
 
 @settings(max_examples=60, deadline=None)
 @given(conftest.dbs_with_threshold())
-def test_tree_stats_drain_to_zero(case):
+def test_tree_stats_match_a_reference_walk(case):
     db, threshold = case
     stats = TreeStats()
     fpgrowth_mine(db, threshold, stats=stats)
-    assert stats.alive_nodes == 0
-    assert stats.peak_alive_nodes <= stats.nodes_created
+    expected = _reference_tree_stats(build_mask_base(db, threshold), threshold)
+    assert (stats.nodes_created, stats.peak_alive_nodes) == expected
 
 
 def _path_sets(paths, threshold):
