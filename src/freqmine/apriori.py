@@ -43,6 +43,7 @@ from .dataset import (
     ItemId,
     Itemset,
     TransactionDb,
+    ascii_int,
     item_frequencies,
 )
 from .errors import ContractViolationError, ValidationError
@@ -237,8 +238,8 @@ def count_support(
 
     With T the AND of a candidate's item tidsets, its support is
     popcount(T) + sum of popcount(T & planes[j]) << j (see _tidsets).
-    Candidates may mix sizes; the empty itemset is held by every
-    transaction. Handles outside the catalog raise ContractViolationError.
+    Candidates may mix sizes. Handles outside the catalog raise
+    ContractViolationError.
     tidsets, when given, must be _tidsets(db); apriori_mine passes them so
     that they are built once per mine, not once per level.
     """
@@ -256,10 +257,6 @@ def count_support(
         repeated |= plane
     counts: dict[Itemset, int] = {}
     for candidate in candidates:
-        # Every transaction holds the empty itemset.
-        if not candidate:
-            counts[()] = db.n
-            continue
         bits = items[candidate[0]]
         for item in candidate[1:]:
             bits &= items[item]
@@ -452,7 +449,7 @@ def read_support_csv(source: str | TextIO) -> tuple[FrequentItemsets, ItemCatalo
         if not items:
             raise ValidationError(f"support line {rows.line_num}: empty itemset")
         try:
-            count = int(row[1])
+            count = ascii_int(row[1])
         except ValueError:
             raise ValidationError(
                 f"support line {rows.line_num}: count is not an integer: {row[1]!r}"

@@ -34,6 +34,7 @@ from .dataset import (
     ItemCatalog,
     SurveySchema,
     TransactionDb,
+    ascii_int,
     item_frequencies,
     parse_alias_csv,
     parse_survey,
@@ -106,11 +107,15 @@ def _unit_fraction(allow_zero: bool) -> Callable[[str], Fraction]:
     return parse
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return ascii_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
@@ -521,17 +526,17 @@ def _build_parser() -> argparse.ArgumentParser:
     check = commands.add_parser(
         "check", help="cross-validate the miners against the brute-force reference"
     )
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_integer, default=0)
     check.add_argument("--cases", type=_positive_int, default=100)
     check.add_argument("--output", default=None)
     check.set_defaults(func=_cmd_check)
 
     bench = commands.add_parser("bench", help="benchmark the miners on synthetic data")
-    bench.add_argument("--transactions", type=int, default=1000)
-    bench.add_argument("--items", type=int, default=50)
+    bench.add_argument("--transactions", type=_integer, default=1000)
+    bench.add_argument("--items", type=_integer, default=50)
     bench.add_argument("--mean-len", type=float, default=5.0)
     bench.add_argument("--skew", type=float, default=1.0)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_integer, default=0)
     bench.add_argument("--axis", choices=AXES, required=True)
     bench.add_argument(
         "--values", type=_axis_values, required=True,

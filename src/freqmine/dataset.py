@@ -27,8 +27,6 @@ ItemId = int
 Itemset = tuple[ItemId, ...]
 
 _WS_RUN = re.compile(r"\s+")
-# What an age cell holds once stripped: int() also takes "1_8" and non-ASCII digits.
-_AGE_TEXT = re.compile(r"[+-]?[0-9]+")
 
 AGE_BUCKETS = ("Under 18", "18-24", "25-34", "Above 35")
 DEFAULT_MISSING_AGE_LABEL = "Don't remember"
@@ -37,6 +35,16 @@ DEFAULT_MISSING_AGE_LABEL = "Don't remember"
 def normalize_label(raw: str) -> str:
     """Identity key for a label: trimmed, inner whitespace collapsed, case folded."""
     return _WS_RUN.sub(" ", raw.strip()).casefold()
+
+
+def ascii_int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits with surrounding whitespace.
+
+    Anything else raises ValueError, though int() reads "1_0" and "١٠" as 10.
+    """
+    if text.isascii() and "_" not in text:
+        return int(text)
+    raise ValueError(f"not an integer: {text!r}")
 
 
 _AGE_BUCKET_KEYS = frozenset(map(normalize_label, AGE_BUCKETS))
@@ -449,9 +457,10 @@ def _parse_age(cell: str, missing_key: str) -> int | None:
         return None
     if normalize_label(text) == missing_key:
         return None
-    if not _AGE_TEXT.fullmatch(text):
-        raise ValidationError(f"survey age is not an integer: {cell!r}")
-    return int(text)
+    try:
+        return ascii_int(text)
+    except ValueError:
+        raise ValidationError(f"survey age is not an integer: {cell!r}") from None
 
 
 def parse_survey(

@@ -50,15 +50,21 @@ def brute_force_frequent(db: TransactionDb, min_support: int) -> FrequentItemset
 def brute_force_rules(
     db: TransactionDb,
     min_support: int,
-    min_confidence: float | Fraction,
+    min_confidence: Fraction | int,
     include_rejected: bool = False,
 ) -> list[AssociationRule]:
     """Rules over the brute-force itemsets, confidences recounted from scratch.
 
     Both the union support and each antecedent support come from fresh scans
     of the raw transactions, not from the frequent table, so a miscounted
-    support in either implementation shows up as a mismatch.
+    support in either implementation shows up as a mismatch. A min_confidence
+    that is not a Fraction or an int, such as a float, raises ValidationError.
     """
+    if not isinstance(min_confidence, (Fraction, int)):
+        raise ValidationError(
+            f"min_confidence must be a fractions.Fraction or an int, got {min_confidence!r}"
+        )
+    num, den = min_confidence.numerator, min_confidence.denominator
     freq = brute_force_frequent(db, min_support)
     transaction_sets = [set(t) for t in db.transactions]
 
@@ -74,13 +80,7 @@ def brute_force_rules(
         for take in range(1, len(itemset)):
             for antecedent in combinations(itemset, take):
                 sup_antecedent = scan(antecedent)
-                if isinstance(min_confidence, Fraction):
-                    accepted = (
-                        sup_union * min_confidence.denominator
-                        >= min_confidence.numerator * sup_antecedent
-                    )
-                else:
-                    accepted = sup_union / sup_antecedent >= min_confidence
+                accepted = sup_union * den >= num * sup_antecedent
                 if not accepted and not include_rejected:
                     continue
                 out.append(

@@ -3,9 +3,9 @@
 Every itemset of size two or more splits into antecedent => consequent for
 each nonempty proper subset. A rule stores its antecedent, its itemset, the
 two supports and its status; the consequent and the float confidence are
-derived from them. Confidence is kept as an exact integer pair, so
-acceptance against a Fraction threshold never suffers rounding at the
-boundary.
+derived from them. Confidence is kept as an exact integer pair, and a
+threshold is an exact rational, a Fraction or an int, so acceptance never
+suffers rounding at the boundary. A float threshold is refused.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Iterable, TextIO
 
 from .apriori import LABEL_JOINER, FrequentItemsets, check_joinable, sorted_itemsets
 from .dataset import ItemCatalog, Itemset
-from .errors import ClosureViolationError, ContractViolationError
+from .errors import ClosureViolationError, ContractViolationError, ValidationError
 
 ACCEPTED = "Accepted"
 REJECTED = "Rejected"
@@ -27,44 +27,25 @@ REJECTED = "Rejected"
 RULES_CSV_HEADER = ("antecedent", "consequent", "support", "confidence", "status")
 
 
-def meets_confidence(num: int, den: int, min_confidence: float | Fraction) -> bool:
-    """Inclusive acceptance test; cross-multiplied (exact) for Fraction thresholds."""
-    if isinstance(min_confidence, Fraction):
-        return num * min_confidence.denominator >= min_confidence.numerator * den
-    return num / den >= min_confidence
+def meets_confidence(num: int, den: int, min_confidence: Fraction | int) -> bool:
+    """Inclusive acceptance test num / den >= min_confidence, cross-multiplied."""
+    return num * min_confidence.denominator >= min_confidence.numerator * den
 
 
-def confidence_limit(min_confidence: float | Fraction) -> Callable[[int], int | float]:
+def confidence_limit(min_confidence: Fraction | int) -> Callable[[int], int | float]:
     """Map an itemset's support to the largest antecedent support it accepts.
 
     With limit = confidence_limit(min_confidence) and counts
     1 <= sup_union <= a, meets_confidence(sup_union, a, min_confidence)
     holds exactly when a <= limit(sup_union), which is inf when no
     antecedent support is too large. Confidence only falls as a grows, so
-    one limit per itemset answers every split's test with one compare.
-
-    A Fraction threshold N/D gives sup_union * D // N. A float threshold c
-    is met when the correctly rounded quotient is at least c, which holds
-    exactly when the true ratio exceeds the midpoint between c and the
-    float below it, or equals that midpoint and c, being even, wins the
-    tie. The midpoint is a fraction too, so the limit is again one floor
-    division.
+    one limit per itemset answers every split's test with one compare. A
+    threshold N/D gives sup_union * D // N, and inf when N <= 0.
     """
-    tie = 0  # 1 when a ratio equal to the bound is rejected
-    if isinstance(min_confidence, Fraction):
-        bound = min_confidence
-    elif min_confidence <= 0:
-        bound = Fraction(0)
-    elif not min_confidence <= 1:  # above 1, or NaN: no split is accepted
-        return lambda sup_union: 0
-    else:
-        below = math.nextafter(min_confidence, 0)
-        bound = (Fraction(below) + Fraction(min_confidence)) / 2
-        tie = int(min_confidence / math.ulp(min_confidence)) % 2
-    num, den = bound.numerator, bound.denominator
+    num, den = min_confidence.numerator, min_confidence.denominator
     if num <= 0:
         return lambda sup_union: math.inf
-    return lambda sup_union: (sup_union * den - tie) // num
+    return lambda sup_union: sup_union * den // num
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +79,7 @@ class AssociationRule:
 def generate_rules(
     freq: FrequentItemsets,
     catalog: ItemCatalog,
-    min_confidence: float | Fraction,
+    min_confidence: Fraction | int,
     include_rejected: bool = False,
 ) -> list[AssociationRule]:
     """All rules s => (l - s) over the stored itemsets, confidence-filtered.
@@ -123,8 +104,13 @@ def generate_rules(
 
     Rules come out itemset by itemset in sorted_itemsets order, the itemset
     CSV's, and within an itemset by antecedent labels, compared through
-    their ranks in label order.
+    their ranks in label order. A min_confidence that is not a Fraction or
+    an int, such as a float, raises ValidationError.
     """
+    if not isinstance(min_confidence, (Fraction, int)):
+        raise ValidationError(
+            f"min_confidence must be a fractions.Fraction or an int, got {min_confidence!r}"
+        )
     support = freq.support
     support_of = support.get
     limit_of = confidence_limit(min_confidence)

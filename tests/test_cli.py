@@ -245,6 +245,19 @@ def test_rules_include_rejected(db5_file, capsys):
     assert out.count("Rejected") == 6 and "Accepted" not in out
 
 
+@pytest.mark.parametrize(
+    "text, line, cell", [("a,1_0\nb,2\n", 1, "1_0"), ("a,2\nb,\u0661\u0660\n", 2, "\u0661\u0660")]
+)
+def test_rules_refuses_a_support_count_int_would_misread(text, line, cell, tmp_path, capsys):
+    table = tmp_path / "supports.csv"
+    table.write_text(text, encoding="utf-8")
+    out = tmp_path / "rules.csv"
+    argv = ["rules", "--support-csv", str(table), "--min-confidence", "1/2", "--output", str(out)]
+    assert run_cli(argv) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: support line {line}: count is not an integer: {cell!r}\n"
+
+
 def test_rules_refuses_two_sources(db5_file, tmp_path, capsys):
     table = tmp_path / "supports.csv"
     table.write_text(DB5_FREQ_GOLDEN, encoding="utf-8")
@@ -684,6 +697,14 @@ def test_check_wide_cases_catch_a_pair_array_fault(monkeypatch, capsys):
     [
         ["check", "--cases", "abc"],
         ["mine", "in.csv", "--min-support", "abc"],
+        # int() reads these as 10 and 1: a digit separator, Arabic-Indic digits.
+        ["check", "--cases", "1_0"],
+        ["mine", "in.csv", "--min-support", "0_1"],
+        ["rules", "in.csv", "--min-support", "\u0661\u0660", "--min-confidence", "1"],
+        ["check", "--seed", "1_0"],
+        ["bench", "--axis", "min_support", "--values", "2", "--seed", "1_0"],
+        ["bench", "--axis", "min_support", "--values", "2", "--transactions", "1_0"],
+        ["bench", "--axis", "min_support", "--values", "2", "--items", "\u0661\u0660"],
     ],
 )
 def test_non_integer_counts_are_usage_errors(argv, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import re
 import weakref
 from unittest import mock
 
@@ -18,6 +19,7 @@ from freqmine.dataset import (
     CsvRows,
     ItemCatalog,
     SurveySchema,
+    ascii_int,
     bucket_age,
     item_frequencies,
     normalize_label,
@@ -247,6 +249,18 @@ def test_parse_survey_non_integer_age():
 def test_parse_survey_negative_age():
     with pytest.raises(ValidationError):
         parse_survey("age,impacts\n-4,Anxiety\n", SurveySchema())
+
+
+@given(st.text(alphabet="0123456789+-_ \t\n\u0661\u00a0x"))
+@example("1_0")
+@example("\u0661\u0660")
+@example(" -07\t")
+def test_ascii_int_reads_a_sign_and_ascii_digits_only(text):
+    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
+        assert ascii_int(text) == int(text)
+    else:
+        with pytest.raises(ValueError):
+            ascii_int(text)
 
 
 @pytest.mark.parametrize("cell", ["1_8", "\u0661\u0668"])

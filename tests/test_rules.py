@@ -19,7 +19,7 @@ from freqmine.apriori import (
     write_frequent_csv,
 )
 from freqmine.dataset import ItemCatalog, parse_transactions
-from freqmine.errors import ClosureViolationError, ContractViolationError
+from freqmine.errors import ClosureViolationError, ContractViolationError, ValidationError
 from freqmine.oracle import brute_force_rules
 from freqmine.rules import (
     ACCEPTED,
@@ -44,8 +44,9 @@ def test_meets_confidence_boundary_is_inclusive():
     assert meets_confidence(2, 5, Fraction("0.40"))
     assert meets_confidence(399, 987, Fraction("0.40"))
     assert not meets_confidence(394, 987, Fraction("0.40"))
-    assert meets_confidence(3, 4, 0.75)
-    assert not meets_confidence(2, 4, 0.75)
+    assert meets_confidence(1, 4, 0)
+    assert meets_confidence(4, 4, 1)
+    assert not meets_confidence(3, 4, 1)
 
 
 def test_meets_confidence_fraction_path_is_exact():
@@ -55,26 +56,23 @@ def test_meets_confidence_fraction_path_is_exact():
     # below one third; only cross-multiplication gets this right.
     assert num / den == 1 / 3
     assert not meets_confidence(num, den, threshold)
-    assert meets_confidence(num, den, 1 / 3)
 
 
 def test_confidence_limit_keeps_the_exact_and_the_rounded_test():
+    """The bound rejects a ratio below the threshold whose rounded quotient
+    reaches it, and an int threshold bounds as the equal Fraction does."""
     num, den = 33333333333333331, 99999999999999994
+    assert num / den == 1 / 3
     assert confidence_limit(Fraction(1, 3))(num) < den
-    assert confidence_limit(1 / 3)(num) >= den
-    assert confidence_limit(Fraction(0))(num) == math.inf
-    assert confidence_limit(Fraction(1))(num) == num
-    assert confidence_limit(0.0)(num) == math.inf
-    assert confidence_limit(1.0)(3) == 3
-    # num / (num + 1) rounds up to 1.0, so the float test accepts it.
-    assert confidence_limit(1.0)(num) == num + 1
+    # num / (num + 1) rounds to 1.0, yet num + 1 is above the bound.
+    assert num / (num + 1) == 1.0
+    assert confidence_limit(Fraction(1))(num) == confidence_limit(1)(num) == num
+    assert confidence_limit(Fraction(0))(num) == confidence_limit(0)(num) == math.inf
 
 
 THRESHOLDS = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(9, 10)]),
     st.fractions(min_value=0, max_value=1),
-    st.sampled_from([0.0, 1.0, 1 / 3, 0.1, 0.9, 5e-324, 2.0**-1022, math.nextafter(1.0, 0)]),
-    st.floats(min_value=0, max_value=1),
 )
 
 
@@ -104,7 +102,7 @@ def rules_by_labels(ruleset, catalog):
 
 def test_generate_rules_db5(db5):
     freq = apriori_mine(db5, 3)
-    ruleset = generate_rules(freq, db5.catalog, 0.75)
+    ruleset = generate_rules(freq, db5.catalog, Fraction(3, 4))
     named = rules_by_labels(ruleset, db5.catalog)
     assert set(named) == {
         (("a",), ("b",)),
@@ -134,7 +132,7 @@ def test_generate_rules_closure_violation():
     a, b = catalog.intern("a"), catalog.intern("b")
     freq = FrequentItemsets({(a, b): 2, (a,): 3})
     with pytest.raises(ClosureViolationError) as exc_info:
-        generate_rules(freq, catalog, 0.0)
+        generate_rules(freq, catalog, Fraction(0))
     assert "b" in str(exc_info.value)
 
 
@@ -162,7 +160,7 @@ def test_generate_rules_names_the_first_gap_in_sorted_order():
     freq = FrequentItemsets({(2, 3): 2, (2,): 3, (0, 1): 2, (0,): 3})
     for include_rejected in (False, True):
         with pytest.raises(ClosureViolationError) as exc_info:
-            generate_rules(freq, catalog, 0.5, include_rejected)
+            generate_rules(freq, catalog, Fraction(1, 2), include_rejected)
         assert str(exc_info.value) == "no stored support for antecedent 'b'"
 
 
@@ -171,7 +169,7 @@ def test_generate_rules_names_the_first_support_below_one_in_sorted_order():
     freq = FrequentItemsets({(2, 3): -1, (2,): 4, (3,): 4, (0, 1): 0, (0,): 3, (1,): 3})
     for include_rejected in (False, True):
         with pytest.raises(ContractViolationError) as exc_info:
-            generate_rules(freq, catalog, 0.5, include_rejected)
+            generate_rules(freq, catalog, Fraction(1, 2), include_rejected)
         assert str(exc_info.value) == "confidence counts out of range: union=0, antecedent=3"
 
 
@@ -181,14 +179,14 @@ def test_generate_rules_names_an_antecedent_with_less_support_than_its_itemset()
     freq = FrequentItemsets({(a, b): 5, (a,): 4, (b,): 6})
     for include_rejected in (False, True):
         with pytest.raises(ContractViolationError) as exc_info:
-            generate_rules(freq, catalog, 0.5, include_rejected)
+            generate_rules(freq, catalog, Fraction(1, 2), include_rejected)
         assert str(exc_info.value) == "confidence counts out of range: union=5, antecedent=4"
 
 
 def test_generate_rules_ordering():
     db = parse_transactions("x,m,a\nx,m,a\nx,m\nx,a\nm,a\n")
     freq = apriori_mine(db, 2)
-    ruleset = generate_rules(freq, db.catalog, 0.0, include_rejected=True)
+    ruleset = generate_rules(freq, db.catalog, Fraction(0), include_rejected=True)
     keys = [
         (
             len(r.antecedent) + len(r.consequent),
@@ -216,20 +214,24 @@ def test_generate_rules_matches_brute_force_in_order(case, confidence):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    conftest.dbs_with_threshold(),
-    st.one_of(
-        st.floats(min_value=0, max_value=1),
-        st.fractions(min_value=0, max_value=1, max_denominator=12).map(float),
-    ),
-)
-def test_generate_rules_matches_brute_force_with_float_threshold(case, confidence):
-    """The float acceptance path prunes antecedents exactly as the oracle filters."""
+@given(conftest.dbs_with_threshold())
+def test_int_thresholds_give_the_rules_of_the_equal_fractions(case):
     db, threshold = case
     freq = apriori_mine(db, threshold)
-    for include_rejected in (False, True):
-        generated = generate_rules(freq, db.catalog, confidence, include_rejected)
-        assert generated == brute_force_rules(db, threshold, confidence, include_rejected)
+    for confidence in (0, 1):
+        for include_rejected in (False, True):
+            expected = generate_rules(freq, db.catalog, Fraction(confidence), include_rejected)
+            assert generate_rules(freq, db.catalog, confidence, include_rejected) == expected
+            assert brute_force_rules(db, threshold, confidence, include_rejected) == expected
+
+
+def test_generate_rules_refuses_a_float_threshold(db5):
+    freq = apriori_mine(db5, 3)
+    for confidence in (0.5, 0.0, 1.0, math.nan):
+        with pytest.raises(ValidationError, match="fractions.Fraction"):
+            generate_rules(freq, db5.catalog, confidence)
+    with pytest.raises(ValidationError, match="fractions.Fraction"):
+        generate_rules(FrequentItemsets({}), db5.catalog, 0.5, include_rejected=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,7 +266,7 @@ def test_every_itemset_splits_into_all_rules(case):
     """An itemset of size k yields 2**k - 2 rules when nothing is filtered."""
     db, threshold = case
     freq = apriori_mine(db, threshold)
-    ruleset = generate_rules(freq, db.catalog, 0.0)
+    ruleset = generate_rules(freq, db.catalog, Fraction(0))
     by_source: dict[tuple, int] = {}
     for rule in ruleset:
         source = tuple(sorted(rule.antecedent + rule.consequent))
@@ -283,7 +285,7 @@ def test_rule_fields_are_internally_consistent(case):
     freq = apriori_mine(db, threshold)
     # Each rule holds the table's own key, so one itemset's rules share one tuple.
     table_key = {itemset: itemset for itemset in freq.support}
-    for rule in generate_rules(freq, db.catalog, 0.3, include_rejected=True):
+    for rule in generate_rules(freq, db.catalog, Fraction(3, 10), include_rejected=True):
         assert rule.confidence == rule.support / rule.confidence_den
         assert set(rule.antecedent).isdisjoint(rule.consequent)
         assert rule.consequent == tuple(i for i in rule.itemset if i not in rule.antecedent)
@@ -340,7 +342,7 @@ def test_rules_from_the_support_csv_match_rules_from_the_table(case, confidence)
 def test_write_rules_csv_golden(db5):
     freq = apriori_mine(db5, 3)
     text = conftest.written(
-        write_rules_csv, generate_rules(freq, db5.catalog, 0.75), db5.catalog
+        write_rules_csv, generate_rules(freq, db5.catalog, Fraction(3, 4)), db5.catalog
     )
     assert text == (
         "antecedent,consequent,support,confidence,status\n"
